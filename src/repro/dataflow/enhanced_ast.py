@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.jsparser import ast_nodes as ast
-from repro.jsparser.scope import ScopeAnalyzer, analyze_scopes
+from repro.jsparser.scope import Binding, ScopeAnalyzer, analyze_scopes
 from repro.jsparser.visitor import walk_with_parent
 
 from .defuse import DefUseInfo, analyze_defuse
@@ -47,6 +47,9 @@ class EnhancedAST:
     connected_leaves: set[int] = field(default_factory=set)
     #: id(node) -> parent node, for type inference of leaves.
     parent_of: dict[int, ast.Node | None] = field(default_factory=dict)
+    #: (id(declaration site), name) -> (pre-order rank of the scope, binding),
+    #: first scope wins; see :func:`_index_name_slots`.
+    name_slots: dict[tuple[int, str], tuple[int, Binding]] = field(default_factory=dict)
 
     # ------------------------------------------------------------- leaf value
 
@@ -100,11 +103,9 @@ class EnhancedAST:
         parent = self.parent_of.get(id(node))
         if parent is None:
             return None
-        for scope in self.analyzer.global_scope.iter_scopes():
-            binding = scope.bindings.get(node.name)
-            if binding is not None and any(d in (parent, node) for d in binding.declarations):
-                return binding
-        return None
+        hits = [self.name_slots.get((id(site), node.name)) for site in (parent, node)]
+        found = [hit for hit in hits if hit is not None]
+        return min(found, key=lambda hit: hit[0])[1] if found else None
 
     def _infer_binding_type(self, binding) -> str:
         """Infer a coarse type for a binding from its initializer, if any."""
@@ -193,6 +194,22 @@ def _infer_expression_type(node: ast.Node) -> str:
     return "any"
 
 
+def _index_name_slots(analyzer: ScopeAnalyzer) -> dict[tuple[int, str], tuple[int, Binding]]:
+    """Every declaration site of every binding, keyed for name-slot lookups.
+
+    An identifier in a declaration-name position resolves to the binding
+    of its name that lists the identifier or its parent as a declaration,
+    in the first scope (pre-order) that has one.  Indexing the sites once
+    makes that lookup constant-time instead of a walk over every scope.
+    """
+    slots: dict[tuple[int, str], tuple[int, Binding]] = {}
+    for rank, scope in enumerate(analyzer.global_scope.iter_scopes()):
+        for name, binding in scope.bindings.items():
+            for declaration in binding.declarations:
+                slots.setdefault((id(declaration), name), (rank, binding))
+    return slots
+
+
 def build_enhanced_ast(program: ast.Program) -> EnhancedAST:
     """Attach data-dependency edges to a parsed program.
 
@@ -206,6 +223,7 @@ def build_enhanced_ast(program: ast.Program) -> EnhancedAST:
     enhanced = EnhancedAST(program, analyzer, defuse)
 
     enhanced.parent_of = {id(node): parent for node, parent in walk_with_parent(program)}
+    enhanced.name_slots = _index_name_slots(analyzer)
 
     # Group events per binding, then connect defs to subsequent uses.
     events_by_binding: dict[int, list] = {}
@@ -249,4 +267,5 @@ def build_regular_ast(program: ast.Program) -> EnhancedAST:
     defuse = analyze_defuse(program, analyzer)
     enhanced = EnhancedAST(program, analyzer, defuse)
     enhanced.parent_of = {id(node): parent for node, parent in walk_with_parent(program)}
+    enhanced.name_slots = _index_name_slots(analyzer)
     return enhanced

@@ -58,9 +58,9 @@ def enabled() -> bool:
 def maybe_inject(source: str, stage: str = "embed") -> None:
     """Fire any armed marker in ``source`` scoped to ``stage``.
 
-    No-op unless :func:`enabled`.  Called from the isolated worker at the
-    top of each task, so the parent-side supervisor sees exactly what a
-    real pathological script would produce.
+    No-op unless :func:`enabled`.  Called from pool workers at the top of
+    each task, so the parent-side supervisor sees exactly what a real
+    pathological script would produce.
     """
     if not enabled():
         return

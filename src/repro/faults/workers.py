@@ -118,6 +118,9 @@ def _build_embed_state(init: dict) -> dict:
 def _run_embed(state: dict, source: str, capture_paths: bool = False) -> tuple:
     """Extract + embed one script; mirrors the sequential stage semantics.
 
+    Both worker pools run this: the isolated pool here and the
+    ``multiprocessing.Pool`` of :class:`~repro.pipeline.BatchScanner`.
+
     With ``capture_paths`` the top attention-weighted path signatures ride
     along as provenance (the Table VII evidence for a traced verdict).
     """

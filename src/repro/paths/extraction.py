@@ -64,31 +64,54 @@ class PathContext:
         return len(self.nodes)
 
 
-@dataclass
-class _LeafInfo:
-    node: ast.Node
-    #: Path of (node, child_index) from the root to this leaf.
-    ancestry: list[tuple[ast.Node, int]]
+#: ``(ends, c)``: a leaf sits under child ``c`` of an ancestor whose
+#: children's subtrees end at leaf counts ``ends`` (see :func:`_index_leaves`).
+_Frame = tuple[list[int], int]
 
 
-def _collect_leaves(root: ast.Node) -> list[_LeafInfo]:
-    """All value-bearing leaves with their root ancestry, in source order."""
-    leaves: list[_LeafInfo] = []
+def _index_leaves(
+    root: ast.Node, reach: int
+) -> tuple[list[ast.Node], list[int], list[tuple[str, ...]], list[list[_Frame]]]:
+    """One walk over the tree, recording what enumeration needs per leaf.
 
-    def visit(node: ast.Node, ancestry: list[tuple[ast.Node, int]]) -> None:
+    Leaves are the value-bearing nodes without children, numbered in
+    source (pre-order) order.  For each leaf this returns its node, its
+    depth (the root is at depth 0), the tuple of node types from the root
+    down to and including the leaf, and the *frames* of its ``reach``
+    nearest ancestors, deepest last.  A frame ``(ends, c)`` says the leaf
+    sits under child ``c`` of that ancestor, where ``ends[k]`` is the
+    number of leaves numbered before the end of child ``k``'s subtree —
+    so the leaves under children ``c+1 … k`` are exactly the indices
+    ``ends[c] ≤ j < ends[k]``.  Every ``ends`` list is complete once the
+    walk returns.
+    """
+    nodes: list[ast.Node] = []
+    depths: list[int] = []
+    chains: list[tuple[str, ...]] = []
+    frames: list[list[_Frame]] = []
+    chain: list[str] = []
+    stack: list[_Frame] = []
+
+    def visit(node: ast.Node) -> None:
         children = list(node.children())
-        if node.type in LEAF_TYPES and not children:
-            leaves.append(_LeafInfo(node, list(ancestry)))
-            return
         if not children:
+            if node.type in LEAF_TYPES:
+                nodes.append(node)
+                depths.append(len(chain))
+                chains.append((*chain, node.type))
+                frames.append(stack[-reach:])
             return
+        chain.append(node.type)
+        ends: list[int] = []
         for index, child in enumerate(children):
-            ancestry.append((node, index))
-            visit(child, ancestry)
-            ancestry.pop()
+            stack.append((ends, index))
+            visit(child)
+            stack.pop()
+            ends.append(len(nodes))
+        chain.pop()
 
-    visit(root, [])
-    return leaves
+    visit(root)
+    return nodes, depths, chains, frames
 
 
 class PathExtractor:
@@ -132,48 +155,39 @@ class PathExtractor:
             raise ExtractionError("nesting too deep to extract paths") from error
 
     def extract(self, enhanced: EnhancedAST) -> list[PathContext]:
-        """Extract all bounded leaf-to-leaf path contexts."""
-        leaves = _collect_leaves(enhanced.program)
+        """Extract all bounded leaf-to-leaf path contexts.
+
+        Paths come out ordered by source leaf ``i``, then target leaf
+        ``j > i``.  For leaf ``i`` at depth ``d_i`` the ancestors are
+        climbed deepest first; at an ancestor of depth ``L`` (the lowest
+        common ancestor) whose child ``c`` holds ``i``, the partners are the
+        leaves under children ``c+1 … c+max_width`` whose depth ``d_j``
+        keeps the path within ``max_length`` nodes, ``d_i + d_j − 2L + 1``.
+        Higher ancestors hold only later leaves, so ``j`` rises without a
+        sort.  The climb stops after ``max_length − 2`` ancestors, past
+        which even a leaf directly under the ancestor is too far.
+        """
+        max_length, max_width = self.max_length, self.max_width
+        nodes, depths, chains, frames = _index_leaves(enhanced.program, max_length - 2)
+        values = [enhanced.leaf_value(node) for node in nodes]
         contexts: list[PathContext] = []
-        n = len(leaves)
-        for i in range(n):
-            for j in range(i + 1, n):
-                context = self._path_between(enhanced, leaves[i], leaves[j])
-                if context is not None:
-                    contexts.append(context)
+        for depth, chain, value, ancestors in zip(depths, chains, values, frames):
+            lca = depth
+            for ends, child in reversed(ancestors):
+                lca -= 1
+                first, last = ends[child], ends[min(child + max_width, len(ends) - 1)]
+                if first == last:
+                    continue
+                bound = max_length - 1 - depth + 2 * lca
+                up = chain[lca:][::-1]
+                down = lca + 1
+                arrow = depth - lca
+                contexts += [
+                    PathContext(value, up + chains[j][down:], values[j], arrow)
+                    for j in range(first, last)
+                    if depths[j] <= bound
+                ]
         return contexts
-
-    # ------------------------------------------------------------- internals
-
-    def _path_between(self, enhanced: EnhancedAST, a: _LeafInfo, b: _LeafInfo) -> PathContext | None:
-        # Find the lowest common ancestor via the recorded ancestries.
-        depth = 0
-        limit = min(len(a.ancestry), len(b.ancestry))
-        while depth < limit and a.ancestry[depth][0] is b.ancestry[depth][0]:
-            depth += 1
-        if depth == 0:
-            return None  # different roots — cannot happen for one program
-        lca_index = depth - 1
-
-        # Width check: child-index spread at the LCA.
-        width = abs(a.ancestry[lca_index][1] - b.ancestry[lca_index][1])
-        if width > self.max_width:
-            return None
-
-        # Nodes: source leaf -> up to LCA -> down to target leaf.
-        up = [a.node.type] + [node.type for node, _ in reversed(a.ancestry[lca_index + 1 :])]
-        lca_type = a.ancestry[lca_index][0].type
-        down = [node.type for node, _ in b.ancestry[lca_index + 1 :]] + [b.node.type]
-        nodes = tuple(up + [lca_type] + down)
-        if len(nodes) > self.max_length:
-            return None
-
-        return PathContext(
-            source_value=enhanced.leaf_value(a.node),
-            nodes=nodes,
-            target_value=enhanced.leaf_value(b.node),
-            arrow_index=len(up),
-        )
 
 
 def extract_paths(

@@ -50,7 +50,7 @@ from repro.faults import (
     Task,
     build_embed_init,
 )
-from repro.faults.workers import _top_attention_paths
+from repro.faults.workers import _build_embed_state, _run_embed, _top_attention_paths
 from repro.obs.trace import SpanContext, new_span_id, trace_spans
 
 from .cache import CacheEntry, FeatureCache, content_key
@@ -64,55 +64,21 @@ if TYPE_CHECKING:  # pragma: no cover
 
 # ------------------------------------------------------------------ workers
 #
-# Each pool worker rebuilds the per-script pipeline prefix from the
-# detector's configuration and frozen parameters (sent once via the pool
-# initializer, so they survive spawn-based start methods too).
+# ``multiprocessing.Pool`` workers run the same per-script pipeline prefix
+# as the isolated pool (``repro.faults.workers``): the frozen config from
+# ``build_embed_init`` is sent once through the pool initializer, so it
+# survives spawn-based start methods too.
 
-_WORKER_STATE: dict | None = None
+_WORKER_STATE: dict = {}
 
 
-def _init_worker(extractor_kwargs: dict, embed_dim: int, parameters: dict, max_paths: int) -> None:
+def _init_worker(init: dict) -> None:
     global _WORKER_STATE
-    from repro.embedding import PathEmbedder
-    from repro.paths import PathExtractor
-
-    embedder = PathEmbedder(embed_dim=embed_dim)
-    embedder.model.load_parameters(parameters)
-    embedder._trained = True
-    _WORKER_STATE = {
-        "extractor": PathExtractor(**extractor_kwargs),
-        "embedder": embedder,
-        "max_paths": max_paths,
-    }
+    _WORKER_STATE = _build_embed_state(init)
 
 
-def _embed_source(
-    source: str, capture_paths: bool = False
-) -> tuple[np.ndarray, np.ndarray, int, float, float, str, list | None]:
-    """Extract + embed one script; mirrors ``JSRevealer`` stage semantics."""
-    from repro.jsparser import JSSyntaxError
-    from repro.paths import ExtractionError
-
-    state = _WORKER_STATE
-    status = STATUS_OK
-    started = time.perf_counter()
-    try:
-        contexts = state["extractor"].extract_from_source(source)
-    except (JSSyntaxError, ExtractionError, RecursionError):
-        contexts = []
-        status = STATUS_PARSE_ERROR
-    extract_ms = 1000.0 * (time.perf_counter() - started)
-
-    path_count = len(contexts)
-    started = time.perf_counter()
-    vectors, weights = state["embedder"].embed(contexts)
-    if len(vectors) > state["max_paths"]:
-        top = np.argsort(weights)[::-1][: state["max_paths"]]
-        vectors, weights = vectors[top], weights[top]
-        contexts = [contexts[int(i)] for i in top]
-    embed_ms = 1000.0 * (time.perf_counter() - started)
-    top_paths = _top_attention_paths(contexts, weights) if capture_paths else None
-    return vectors, weights, path_count, extract_ms, embed_ms, status, top_paths
+def _embed_source(source: str, capture_paths: bool = False) -> tuple:
+    return _run_embed(_WORKER_STATE, source, capture_paths)
 
 
 class BatchScanner:
@@ -858,22 +824,9 @@ class BatchScanner:
         return entry, status, top_paths
 
     def _create_pool(self):
-        detector = self.detector
-        config = detector.config
-        parameters = {
-            name: np.ascontiguousarray(tensor)
-            for name, tensor in detector.embedder.model.parameters().items()
-        }
-        extractor_kwargs = {
-            "max_length": config.max_path_length,
-            "max_width": config.max_path_width,
-            "use_dataflow": config.use_dataflow,
-        }
         context = multiprocessing.get_context()
         return context.Pool(
-            processes=self.n_workers,
-            initializer=_init_worker,
-            initargs=(extractor_kwargs, detector.embedder.model.embed_dim, parameters, config.max_paths_per_script),
+            processes=self.n_workers, initializer=_init_worker, initargs=(build_embed_init(self.detector),)
         )
 
     def _embed_parallel(

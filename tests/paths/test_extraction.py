@@ -1,10 +1,29 @@
 """Unit and property tests for AST path-context extraction."""
 
+import functools
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.paths import PathExtractor, extract_paths
+from repro.dataflow import build_enhanced_ast, build_regular_ast
+from repro.jsparser import parse
+from repro.paths import PathExtractor, PathFeaturizer, extract_paths
+
+from . import oracle
+
+EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
+CORPUS = sorted(str(path.relative_to(EXAMPLES)) for path in EXAMPLES.glob("corpus/*.js"))
+OBFUSCATED = sorted(str(path.relative_to(EXAMPLES)) for path in EXAMPLES.glob("obfuscated/*.js"))
+#: A seeded ≈8 KiB concatenation of generator output.
+EIGHT_K = "8k"
+
+
+@functools.cache
+def enhanced_ast(name: str, use_dataflow: bool):
+    source = oracle.concatenated_script(8192, seed=0) if name == EIGHT_K else (EXAMPLES / name).read_text()
+    return (build_enhanced_ast if use_dataflow else build_regular_ast)(parse(source))
 
 
 class TestBasicExtraction:
@@ -132,3 +151,29 @@ def test_extraction_invariants(statements):
         assert 3 <= p.length <= 12
         assert 0 < p.arrow_index < p.length
         assert p.source_value and p.target_value
+    assert paths == oracle.extract_all_pairs(build_enhanced_ast(parse(src)))
+
+
+class TestAgainstOracle:
+    """Enumeration from the LCA and the indexed featurizer reproduce the
+    all-pairs loop and the per-path featurizer exactly."""
+
+    @pytest.mark.parametrize("bounds", [(3, 1), (6, 2), (12, 4), (12, 7)])
+    @pytest.mark.parametrize("use_dataflow", [True, False])
+    @pytest.mark.parametrize("name", CORPUS + OBFUSCATED + [EIGHT_K])
+    def test_paths_and_features_match(self, name, use_dataflow, bounds):
+        enhanced = enhanced_ast(name, use_dataflow)
+        max_length, max_width = bounds
+        expected = oracle.extract_all_pairs(enhanced, max_length, max_width)
+        paths = PathExtractor(max_length, max_width, use_dataflow).extract(enhanced)
+        assert paths == expected
+        features = PathFeaturizer().transform(paths)
+        assert features.tobytes() == oracle.featurize_per_path(expected).tobytes()
+
+    @pytest.mark.parametrize("name", CORPUS + [EIGHT_K])
+    def test_leaf_values_match_scope_scan(self, name):
+        enhanced = enhanced_ast(name, True)
+        leaves = oracle.collect_leaves(enhanced.program)
+        assert leaves
+        for leaf in leaves:
+            assert enhanced.leaf_value(leaf.node) == oracle.leaf_value(enhanced, leaf.node)
