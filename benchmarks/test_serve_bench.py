@@ -109,8 +109,8 @@ def test_tracing_overhead(benchmark):
         # Both daemons stay up for the whole comparison and the measured
         # passes alternate between them, so background machine drift hits
         # both modes equally instead of whichever booted second.
-        off = ServeConfig(port=0, max_batch=8, max_wait_ms=25.0, trace_sample_rate=0.0)
-        on = ServeConfig(port=0, max_batch=8, max_wait_ms=25.0, trace_sample_rate=default_rate)
+        off = ServeConfig(port=0, max_batch=8, trace_sample_rate=0.0)
+        on = ServeConfig(port=0, max_batch=8, trace_sample_rate=default_rate)
         with BackgroundServer(detector, off) as a, BackgroundServer(detector, on) as b:
             best = {"untraced": None, "traced": None}
             ratios = []

@@ -188,7 +188,6 @@ def serve_throughput_comparison(
     concurrency: int = 8,
     repeats: int = 2,
     max_batch: int = 8,
-    max_wait_ms: float = 25.0,
 ) -> dict[str, "object"]:
     """Micro-batching vs per-request dispatch vs in-process one-shot scans.
 
@@ -241,7 +240,6 @@ def serve_throughput_comparison(
         config = ServeConfig(
             port=0,
             max_batch=batch,
-            max_wait_ms=max_wait_ms,
             queue_limit=max(concurrency * 4, 64),
         )
         with BackgroundServer(detector, config) as server:

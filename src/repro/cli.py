@@ -9,8 +9,8 @@ Usage::
                                file_dir_or_dash [...]
     python -m repro.cli explain --model model_dir [--top 5] [--format json|text]
     python -m repro.cli serve  --model model_dir [--host H] [--port P]
-                               [--workers N] [--max-batch B] [--max-wait-ms MS]
-                               [--queue-limit Q] [--cache-dir DIR] [--shards N]
+                               [--workers N] [--max-batch B] [--queue-limit Q]
+                               [--cache-dir DIR] [--shards N]
     python -m repro.cli cluster --model model_dir [--shards N] [--port P]
                                [--cache-dir DIR] [--vnodes V]
     python -m repro.cli top    [--url http://host:port] [--interval-s S] [--count N]
@@ -41,9 +41,11 @@ percentiles, with ``--format json`` for machine consumers (see
 DESIGN.md §15).
 
 Duration flags follow one unit-suffixed convention (``--timeout-s``,
-``--request-timeout-s``, ``--breaker-reset-s``, ``--max-wait-ms``,
-``--trace-slow-ms``); pre-rename spellings remain as hidden deprecated
-aliases that warn on stderr.
+``--request-timeout-s``, ``--breaker-reset-s``, ``--trace-slow-ms``);
+pre-rename spellings remain as hidden deprecated aliases that warn on
+stderr.  ``serve``/``cluster`` still accept ``--max-wait-ms`` so old
+invocations boot, but ignore it with a warning: micro-batches dispatch as
+soon as the scanner is idle.
 
 ``scan``/``analyze``/``serve`` accept ``--log-level``/``--log-format``
 (structured JSON logs carry ``trace_id``/``span_id`` fields).  ``scan
@@ -327,7 +329,7 @@ class _DeprecatedAlias(argparse.Action):
     Stores into the canonical dest and warns once on stderr, so old
     invocations keep working while the help text shows only the
     unit-suffixed convention (``--request-timeout-s``, ``--timeout-s``,
-    ``--max-wait-ms``, …).
+    ``--trace-slow-ms``, …).
     """
 
     def __init__(self, option_strings, dest, successor: str = "", **kwargs):
@@ -343,12 +345,27 @@ class _DeprecatedAlias(argparse.Action):
         setattr(namespace, self.dest, values)
 
 
+class _IgnoredFlag(argparse.Action):
+    """Hidden flag of a removed knob: it still parses, so old invocations
+    keep booting, but its value is dropped with one stderr warning."""
+
+    def __init__(self, option_strings, dest, reason: str = "", **kwargs):
+        kwargs.update(help=argparse.SUPPRESS, default=argparse.SUPPRESS)
+        self.reason = reason
+        super().__init__(option_strings, argparse.SUPPRESS, **kwargs)
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        print(f"warning: {option_string} is ignored; {self.reason}", file=sys.stderr)
+
+
+_MAX_WAIT_IGNORED = "micro-batches now dispatch as soon as the scanner is idle"
+
+
 def _shard_flags(args: argparse.Namespace) -> list[str]:
     """``repro serve`` flags every shard of a cluster is spawned with."""
     flags = [
         "--workers", str(args.workers),
         "--max-batch", str(args.max_batch),
-        "--max-wait-ms", str(args.max_wait_ms),
         "--queue-limit", str(args.queue_limit),
         "--threshold", str(args.threshold),
     ]
@@ -422,7 +439,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             port=args.port,
             n_workers=args.workers,
             max_batch=args.max_batch,
-            max_wait_ms=args.max_wait_ms,
             queue_limit=args.queue_limit,
             cache_dir=args.cache_dir,
             threshold=args.threshold,
@@ -701,9 +717,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--workers", type=int, default=1,
                        help="extraction/embedding worker processes behind the batcher")
     serve.add_argument("--max-batch", type=int, default=8,
-                       help="flush a micro-batch at this many queued scripts")
-    serve.add_argument("--max-wait-ms", type=float, default=25.0,
-                       help="flush a micro-batch when its oldest script is this old")
+                       help="most queued scripts dispatched in one micro-batch")
+    serve.add_argument("--max-wait-ms", type=float, action=_IgnoredFlag, reason=_MAX_WAIT_IGNORED)
     serve.add_argument("--queue-limit", type=int, default=64,
                        help="admission bound; beyond it requests get 429 + Retry-After")
     serve.add_argument("--cache-dir", default=None,
@@ -758,9 +773,8 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--workers", type=int, default=1,
                          help="worker processes per shard")
     cluster.add_argument("--max-batch", type=int, default=8,
-                         help="per-shard micro-batch flush size")
-    cluster.add_argument("--max-wait-ms", type=float, default=25.0,
-                         help="per-shard micro-batch flush age")
+                         help="per-shard micro-batch size cap")
+    cluster.add_argument("--max-wait-ms", type=float, action=_IgnoredFlag, reason=_MAX_WAIT_IGNORED)
     cluster.add_argument("--queue-limit", type=int, default=64,
                          help="per-shard admission bound (429 beyond it)")
     cluster.add_argument("--threshold", type=float, default=0.5,

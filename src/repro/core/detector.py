@@ -92,6 +92,7 @@ class JSRevealer:
         self.stage_seconds: dict[str, float] = defaultdict(float)
         self.stage_counts: dict[str, int] = defaultdict(int)
         self._fitted = False
+        self._fingerprint: str | None = None
 
     # ------------------------------------------------------------ plumbing
 
@@ -147,6 +148,7 @@ class JSRevealer:
     def pretrain(self, sources: list[str], labels) -> "JSRevealer":
         """Train the path-embedding model on a held-out labeled set."""
         contexts = [self.extract_paths(source) for source in sources]
+        self._fingerprint = None
         with self._timed("pretraining"):
             self.embedder.fit(contexts, labels)
         return self
@@ -174,6 +176,7 @@ class JSRevealer:
 
         benign_vectors, benign_sigs = self._pool(embedded, signatures, labels, 0)
         malicious_vectors, malicious_sigs = self._pool(embedded, signatures, labels, 1)
+        self._fingerprint = None
         with self._timed("feature_extraction"):
             self.feature_extractor.fit(benign_vectors, malicious_vectors, benign_sigs, malicious_sigs)
             X = self.feature_extractor.transform(embedded, fit_scaler=True)
@@ -351,8 +354,14 @@ class JSRevealer:
 
         Namespaces the content-addressed embedding cache and is stored in
         ``model.json`` (format version 2), so caches written by one trained
-        model are invisible to every other.
+        model are invisible to every other.  Hashed once per model:
+        :meth:`pretrain`, :meth:`fit` and ``load_detector`` reset it.
         """
+        if self._fingerprint is None:
+            self._fingerprint = self._hash_tensors()
+        return self._fingerprint
+
+    def _hash_tensors(self) -> str:
         digest = hashlib.sha256()
         parameters = self.embedder.model.parameters()
         for name in sorted(parameters):

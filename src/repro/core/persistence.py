@@ -102,6 +102,7 @@ def load_detector(directory: str | Path) -> JSRevealer:
 
     detector.classifier = _forest_from_dict(meta["forest"])
     detector._fitted = True
+    detector._fingerprint = None  # hash the loaded tensors, not the constructor's
 
     # Version 1 predates stored fingerprints: derive one from the loaded
     # tensors.  For version 2 the stored value must match the tensors, so a

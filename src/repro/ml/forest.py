@@ -41,6 +41,7 @@ class RandomForestClassifier:
         self.estimators_: list[DecisionTreeClassifier] = []
         self.classes_: np.ndarray | None = None
         self.feature_importances_: np.ndarray | None = None
+        self._columns: list[np.ndarray | None] | None = None
 
     def fit(self, X, y) -> "RandomForestClassifier":
         X = np.asarray(X, dtype=float)
@@ -50,6 +51,7 @@ class RandomForestClassifier:
         rng = np.random.default_rng(self.random_state)
         self.classes_ = np.unique(y)
         self.estimators_ = []
+        self._columns = None
         n = len(y)
 
         importance_sum = np.zeros(X.shape[1])
@@ -75,20 +77,33 @@ class RandomForestClassifier:
             return np.zeros(n_features)
         return importances
 
+    def _tree_columns(self) -> list[np.ndarray | None]:
+        """Per tree, the forest columns its ``predict_proba`` fills.
+
+        Trees trained on bootstrap samples may have seen a subset of the
+        classes; ``None`` marks a tree that saw them all.  Computed once per
+        fitted forest (and on first use of a deserialized one).
+        """
+        if self._columns is None:
+            self._columns = [
+                None if np.array_equal(tree.classes_, self.classes_)
+                else np.searchsorted(self.classes_, tree.classes_)
+                for tree in self.estimators_
+            ]
+        return self._columns
+
     def predict_proba(self, X) -> np.ndarray:
         if not self.estimators_ or self.classes_ is None:
             raise RuntimeError("Classifier used before fit()")
         X = np.asarray(X, dtype=float)
         acc = np.zeros((len(X), len(self.classes_)))
-        for tree in self.estimators_:
-            proba = tree.predict_proba(X)
-            # Trees trained on bootstrap samples may have seen a subset of
-            # classes; align their columns with the forest's class list.
-            aligned = np.zeros_like(acc)
-            for j, cls in enumerate(tree.classes_):
-                col = int(np.searchsorted(self.classes_, cls))
-                aligned[:, col] = proba[:, j]
-            acc += aligned
+        # Trees are summed in order, so the result is the same float sum
+        # whatever the columns: adding a tree's absent class is adding 0.0.
+        for tree, columns in zip(self.estimators_, self._tree_columns()):
+            if columns is None:
+                acc += tree.predict_proba(X)
+            else:
+                acc[:, columns] += tree.predict_proba(X)
         return acc / len(self.estimators_)
 
     def predict(self, X) -> np.ndarray:

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import stats
 
 from .abod import FastABOD
 from .base import BaseOutlierDetector
@@ -39,6 +38,8 @@ class MetaFeatures:
 
     @classmethod
     def of(cls, X: np.ndarray) -> "MetaFeatures":
+        from scipy import stats  # selection runs at training time; serving never loads scipy
+
         X = np.asarray(X, dtype=float)
         with np.errstate(all="ignore"):
             skew = float(np.nanmean(np.abs(stats.skew(X, axis=0))))
@@ -101,6 +102,8 @@ def select_detector(
     the benchmark-derived prior order — the stand-in for MetaOD's
     meta-learned regressor (see module docstring).
     """
+    from scipy import stats
+
     X = np.asarray(X, dtype=float)
     if rng is None:
         rng = np.random.default_rng(0)

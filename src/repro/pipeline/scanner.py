@@ -51,6 +51,7 @@ from repro.faults import (
     build_embed_init,
 )
 from repro.faults.workers import _build_embed_state, _run_embed, _top_attention_paths
+from repro.ml import DecisionTreeClassifier, RandomForestClassifier
 from repro.obs.trace import SpanContext, new_span_id, trace_spans
 
 from .cache import CacheEntry, FeatureCache, content_key
@@ -79,6 +80,22 @@ def _init_worker(init: dict) -> None:
 
 def _embed_source(source: str, capture_paths: bool = False) -> tuple:
     return _run_embed(_WORKER_STATE, source, capture_paths)
+
+
+#: Classifiers whose ``predict`` is ``classes_[argmax(predict_proba(X))]``:
+#: one ``predict_proba`` pass yields their labels too.  Exact types only, as
+#: a subclass may override ``predict``.
+_ARGMAX_CLASSIFIERS = (RandomForestClassifier, DecisionTreeClassifier)
+
+
+def _classify(classifier, X) -> tuple[np.ndarray, np.ndarray | None]:
+    """Labels and class probabilities (``None`` without ``predict_proba``)."""
+    proba = (
+        np.asarray(classifier.predict_proba(X)) if hasattr(classifier, "predict_proba") else None
+    )
+    if proba is not None and type(classifier) in _ARGMAX_CLASSIFIERS:
+        return classifier.classes_[np.argmax(proba, axis=1)], proba
+    return np.asarray(classifier.predict(X)), proba
 
 
 class BatchScanner:
@@ -508,12 +525,7 @@ class BatchScanner:
         classify_started = time.perf_counter()
         if active:
             with detector._timed("classifying"):
-                labels = np.asarray(detector.classifier.predict(X))
-                active_proba = (
-                    np.asarray(detector.classifier.predict_proba(X))
-                    if hasattr(detector.classifier, "predict_proba")
-                    else None
-                )
+                labels, active_proba = _classify(detector.classifier, X)
         else:
             labels = np.zeros(0, dtype=int)
             active_proba = np.zeros((0, 2))

@@ -97,7 +97,6 @@ class ServeConfig:
     port: int = 8077  # 0 = ephemeral (tests/benches read .bound_port)
     n_workers: int = 1  # BatchScanner pool size; 1 = in-process sequential
     max_batch: int = 8
-    max_wait_ms: float = 25.0
     queue_limit: int = 64
     cache_dir: str | None = None
     cache_entries: int = 4096
@@ -227,7 +226,6 @@ class ScanServer:
             self._scan_batch,
             executor=self._executor,
             max_batch=self.config.max_batch,
-            max_wait_ms=self.config.max_wait_ms,
             queue_limit=self.config.queue_limit,
             metrics=self.metrics,
             pass_meta=True,
@@ -353,7 +351,7 @@ class ScanServer:
             print(
                 f"repro.serve listening on http://{self.config.host}:{self.bound_port} "
                 f"(workers={self.config.n_workers}, max_batch={self.config.max_batch}, "
-                f"max_wait_ms={self.config.max_wait_ms:g}, queue_limit={self.config.queue_limit})",
+                f"queue_limit={self.config.queue_limit})",
                 file=sys.stderr,
                 flush=True,
             )
@@ -553,7 +551,6 @@ class ScanServer:
             "config": {
                 "n_workers": self.config.n_workers,
                 "max_batch": self.config.max_batch,
-                "max_wait_ms": self.config.max_wait_ms,
                 "queue_limit": self.config.queue_limit,
                 "threshold": self.config.threshold,
                 "timeout_s": self.config.timeout_s,

@@ -8,12 +8,15 @@ than coalesced into one :meth:`BatchScanner.scan` call.  The batcher:
 * admits items into a bounded queue (:class:`QueueFull` is the server's
   429 signal; ``queue_limit`` is the *backlog* bound, batches already
   dispatched don't count),
-* flushes on whichever comes first — ``max_batch`` items queued or
-  ``max_wait_ms`` elapsed since the batch opened,
+* is work-conserving: as soon as the scanner is idle it dispatches
+  whatever is queued, up to ``max_batch`` items, with no timer — waiting
+  while the only scan thread idles would add latency and coalesce nothing,
 * dispatches one batch at a time to the scan callable in an executor
   thread (the scanner and its cache are not concurrency-safe; serializing
   batches also lets the queue refill while a batch runs, which is what
   makes the batching *adaptive* under load),
+* drops items whose waiter already gave up (a timed-out request, a
+  rejected batch request) instead of scanning them,
 * resolves each item's future with its :class:`ScanResult` plus the
   enclosing :class:`ScanReport`,
 * drains cleanly: :meth:`drain` stops admission (:class:`Draining`) and
@@ -61,8 +64,7 @@ class MicroBatcher:
         scan: ``scan(sources, names) -> ScanReport``; runs in ``executor``.
         executor: Where ``scan`` executes (typically a single-thread pool —
             see the class docstring for why batches are serialized).
-        max_batch: Flush threshold by count.
-        max_wait_ms: Flush threshold by age of the oldest queued item.
+        max_batch: Most items dispatched in one batch.
         queue_limit: Maximum admitted-but-undispatched items.
         metrics: Optional registry for queue/batch/latency metrics.
         pass_meta: When ``True``, ``scan`` is called as
@@ -76,22 +78,18 @@ class MicroBatcher:
         scan: Callable[..., "ScanReport"],
         executor: "Executor",
         max_batch: int = 8,
-        max_wait_ms: float = 25.0,
         queue_limit: int = 64,
         metrics: "MetricsRegistry | None" = None,
         pass_meta: bool = False,
     ):
         if max_batch < 1:
             raise ValueError("max_batch must be positive")
-        if max_wait_ms < 0:
-            raise ValueError("max_wait_ms must be non-negative")
         if queue_limit < 1:
             raise ValueError("queue_limit must be positive")
         self._scan = scan
         self._pass_meta = pass_meta
         self._executor = executor
         self.max_batch = max_batch
-        self.max_wait_ms = max_wait_ms
         self.queue_limit = queue_limit
         self._queue: asyncio.Queue[_Item] = asyncio.Queue()
         self._pending = 0  # admitted, not yet dispatched
@@ -175,24 +173,23 @@ class MicroBatcher:
     # ------------------------------------------------------------ flush loop
 
     async def _run(self) -> None:
-        loop = asyncio.get_running_loop()
         while True:
-            batch = [await self._queue.get()]
-            deadline = loop.time() + self.max_wait_ms / 1000.0
-            while len(batch) < self.max_batch:
-                remaining = deadline - loop.time()
-                if remaining <= 0:
-                    break
-                try:
-                    batch.append(await asyncio.wait_for(self._queue.get(), remaining))
-                except asyncio.TimeoutError:
-                    break
-            await self._dispatch(batch)
+            batch: list[_Item] = []
+            self._take(await self._queue.get(), batch)
+            while len(batch) < self.max_batch and not self._queue.empty():
+                self._take(self._queue.get_nowait(), batch)
+            if self._metrics is not None:
+                self._m_depth.set(self._pending)
+            if batch:
+                await self._dispatch(batch)
+
+    def _take(self, item: _Item, batch: list[_Item]) -> None:
+        self._pending -= 1
+        if not item.future.done():  # a waiter that gave up is not scanned
+            batch.append(item)
 
     async def _dispatch(self, batch: list[_Item]) -> None:
-        self._pending -= len(batch)
         if self._metrics is not None:
-            self._m_depth.set(self._pending)
             self._m_batches.inc()
             self._m_batch_size.observe(len(batch))
             now = time.perf_counter()

@@ -87,6 +87,33 @@ class TestPersistence:
         assert loaded.fingerprint() == detector.fingerprint()
         assert np.array_equal(loaded.predict(split.test.sources[:4]), detector.predict(split.test.sources[:4]))
 
+    def test_serve_boot_leaves_scipy_stats_unloaded(self, detector, split, tmp_path):
+        # scipy.stats serves only MetaOD selection at training time; a
+        # daemon that imports the serve path and loads a model never needs it.
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        save_detector(detector, tmp_path / "m8")
+        probe = (
+            "import sys\n"
+            "import repro.cli, repro.serve.app\n"
+            "from repro.core.persistence import load_detector\n"
+            "detector = load_detector(sys.argv[1])\n"
+            "detector.scan(sys.argv[2])\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+        completed = subprocess.run(
+            [sys.executable, "-c", probe, str(tmp_path / "m8"), split.test.sources[0]],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.strip() == "[]"
+
     def test_tampered_fingerprint_rejected(self, detector, tmp_path):
         import json
 

@@ -60,14 +60,14 @@ class TestParser:
         assert args.port == 8077
         assert args.workers == 1
         assert args.max_batch == 8
-        assert args.max_wait_ms == 25.0
+        assert not hasattr(args, "max_wait_ms")
         assert args.queue_limit == 64
         assert args.cache_dir is None
         assert args.threshold == 0.5
         assert args.request_timeout_s == 30.0
         assert args.shards == 1
 
-    def test_serve_flags(self):
+    def test_serve_flags(self, capsys):
         args = build_parser().parse_args(
             ["serve", "--model", "m", "--host", "0.0.0.0", "--port", "0",
              "--workers", "2", "--max-batch", "16", "--max-wait-ms", "5",
@@ -78,11 +78,32 @@ class TestParser:
         assert args.port == 0
         assert args.workers == 2
         assert args.max_batch == 16
-        assert args.max_wait_ms == 5.0
         assert args.queue_limit == 128
         assert args.cache_dir == "/tmp/c"
         assert args.threshold == 0.7
         assert args.request_timeout_s == 10.0
+        # --max-wait-ms still parses so old invocations boot, but is ignored.
+        assert not hasattr(args, "max_wait_ms")
+        err = capsys.readouterr().err
+        assert err.count("warning: --max-wait-ms is ignored") == 1
+        assert "dispatch as soon as the scanner is idle" in err
+
+    def test_max_wait_ms_hidden_and_ignored_on_serve_and_cluster(self, capsys):
+        import argparse
+
+        from repro.cli import _shard_flags
+
+        parser = build_parser()
+        for command in ("serve", "cluster"):
+            subparser = parser._subparsers._group_actions[0].choices[command]
+            (action,) = [a for a in subparser._actions if "--max-wait-ms" in a.option_strings]
+            assert action.help is argparse.SUPPRESS
+            args = parser.parse_args([command, "--model", "m", "--max-wait-ms", "25"])
+            assert not hasattr(args, "max_wait_ms")
+            assert "--max-wait-ms" not in _shard_flags(args)
+        assert capsys.readouterr().err.count("warning: --max-wait-ms is ignored") == 2
+        with pytest.raises(SystemExit):  # the value must still be a number
+            parser.parse_args(["serve", "--model", "m", "--max-wait-ms", "soon"])
 
     def test_serve_request_timeout_deprecated_alias(self, capsys):
         args = build_parser().parse_args(

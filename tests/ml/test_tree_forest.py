@@ -141,3 +141,57 @@ class TestRandomForest:
     def test_unfit_predict_raises(self):
         with pytest.raises(RuntimeError):
             RandomForestClassifier().predict([[0.0, 1.0]])
+
+
+def _aligned_proba_oracle(forest, X):
+    """The forest's probabilities as first written: every call aligns each
+    tree's columns with the forest's classes in a fresh zero matrix."""
+    X = np.asarray(X, dtype=float)
+    acc = np.zeros((len(X), len(forest.classes_)))
+    for tree in forest.estimators_:
+        proba = tree.predict_proba(X)
+        aligned = np.zeros_like(acc)
+        for j, cls in enumerate(tree.classes_):
+            col = int(np.searchsorted(forest.classes_, cls))
+            aligned[:, col] = proba[:, j]
+        acc += aligned
+    return acc / len(forest.estimators_)
+
+
+class TestForestMatchesAlignmentOracle:
+    def _assert_oracle_equal(self, forest, X):
+        expected = _aligned_proba_oracle(forest, X)
+        proba = forest.predict_proba(X)
+        assert proba.tobytes() == expected.tobytes()
+        assert np.array_equal(forest.predict(X), forest.classes_[np.argmax(expected, axis=1)])
+        # The cached columns serve later calls unchanged.
+        assert forest.predict_proba(X).tobytes() == expected.tobytes()
+
+    def test_fixture_sized_forest(self):
+        # The detector's default forest: 60 trees over one column per cluster
+        # feature (K = 11 + 10), trained on 60 scripts per class.
+        rng = np.random.default_rng(7)
+        X = rng.normal(size=(120, 21))
+        y = (X[:, 0] + 0.5 * X[:, 3] + rng.normal(scale=0.8, size=120) > 0).astype(int)
+        forest = RandomForestClassifier(n_estimators=60, random_state=0).fit(X, y)
+        self._assert_oracle_equal(forest, rng.normal(size=(200, 21)))
+        self._assert_oracle_equal(forest, rng.normal(size=(1, 21)))
+
+    @pytest.mark.parametrize("labels", [[0] * 9 + [1], [0] * 8 + [1, 2]])
+    def test_bootstrap_trees_missing_classes(self, labels):
+        rng = np.random.default_rng(3)
+        y = np.array(labels)
+        X = rng.normal(size=(len(y), 3)) + y[:, None]
+        forest = RandomForestClassifier(n_estimators=40, random_state=1).fit(X, y)
+        assert any(len(tree.classes_) == 1 for tree in forest.estimators_)
+        assert any(len(tree.classes_) < len(forest.classes_) for tree in forest.estimators_)
+        self._assert_oracle_equal(forest, rng.normal(size=(50, 3)) * 2.0)
+
+    def test_refit_recomputes_columns(self):
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(12, 2))
+        forest = RandomForestClassifier(n_estimators=20, random_state=0)
+        forest.fit(X, np.array([0] * 11 + [1]))
+        forest.predict_proba(X)
+        forest.fit(X, np.array([0] * 4 + [1] * 4 + [2] * 4))
+        self._assert_oracle_equal(forest, X)

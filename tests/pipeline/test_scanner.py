@@ -5,6 +5,14 @@ import pytest
 
 from repro.core import JSRevealer, JSRevealerConfig
 from repro.datasets import experiment_split
+from repro.ml import (
+    BernoulliNB,
+    DecisionTreeClassifier,
+    GaussianNB,
+    LinearSVC,
+    LogisticRegression,
+    RandomForestClassifier,
+)
 from repro.obs import MetricsRegistry
 from repro.pipeline import BatchScanner, FeatureCache
 
@@ -87,6 +95,59 @@ class TestCacheIntegration:
     def test_report_carries_fingerprint(self, detector, split):
         report = detector.scan_batch(split.test.sources[:2])
         assert report.model_fingerprint == detector.fingerprint()
+
+
+class _ContraryForest(RandomForestClassifier):
+    """A forest whose ``predict`` is *not* the argmax of its probabilities."""
+
+    def predict(self, X):
+        return self.classes_[np.argmin(self.predict_proba(X), axis=1)]
+
+
+#: Every final classifier the detector's ``classifier_factory`` may build,
+#: plus a forest subclass that overrides ``predict``.
+CLASSIFIERS = {
+    "random-forest": lambda: RandomForestClassifier(n_estimators=20, random_state=0),
+    "decision-tree": lambda: DecisionTreeClassifier(max_depth=6, rng=np.random.default_rng(0)),
+    "logistic": lambda: LogisticRegression(n_iter=200, learning_rate=0.5),
+    "svm": lambda: LinearSVC(n_iter=15, random_state=0),
+    "gaussian-nb": GaussianNB,
+    "bernoulli-nb": lambda: BernoulliNB(binarize=0.5),
+    "contrary-forest": lambda: _ContraryForest(n_estimators=20, random_state=0),
+}
+
+
+class TestClassifyStep:
+    @pytest.mark.parametrize("name", sorted(CLASSIFIERS))
+    def test_labels_and_probabilities_equal_the_classifier(self, name, detector, split):
+        candidate = JSRevealer(
+            JSRevealerConfig(
+                embed_dim=16, pretrain_epochs=3, k_benign=4, k_malicious=4, seed=7,
+                classifier_factory=CLASSIFIERS[name],
+            )
+        )
+        candidate.embedder = detector.embedder  # reuse the trained embedding
+        candidate.fit(split.train.sources, split.train.labels)
+        sources = split.test.sources
+        report = BatchScanner(candidate).scan(sources)
+        embedded = [candidate.embed_script(candidate.extract_paths(s)) for s in sources]
+        X = candidate.feature_extractor.transform(embedded, fit_scaler=False)
+        assert np.array_equal(report.label_array, candidate.classifier.predict(X))
+        proba = candidate.classifier.predict_proba(X)
+        assert report.probability_matrix.tobytes() == proba.tobytes()
+
+    def test_refit_changes_reported_fingerprint(self, split):
+        det = JSRevealer(JSRevealerConfig(embed_dim=16, pretrain_epochs=3, k_benign=4, k_malicious=4, seed=7))
+        det.pretrain(split.pretrain.sources, split.pretrain.labels)
+        det.fit(split.train.sources, split.train.labels)
+        scanner = BatchScanner(det)
+        first = scanner.scan(split.test.sources[:2]).model_fingerprint
+        assert scanner.scan(split.test.sources[2:4]).model_fingerprint == first
+        det.fit(split.train.sources[2:], split.train.labels[2:])
+        refit = scanner.scan(split.test.sources[:2]).model_fingerprint
+        assert refit != first
+        det.pretrain(split.pretrain.sources[2:], split.pretrain.labels[2:])
+        assert scanner.scan(split.test.sources[:2]).model_fingerprint not in (first, refit)
 
 
 class TestInstrumentation:

@@ -30,7 +30,7 @@ def server():
     det = JSRevealer(JSRevealerConfig(embed_dim=16, pretrain_epochs=3, k_benign=4, k_malicious=4, seed=7))
     det.pretrain(split.pretrain.sources, split.pretrain.labels)
     det.fit(split.train.sources, split.train.labels)
-    with BackgroundServer(det, ServeConfig(port=0, max_wait_ms=10.0)) as background:
+    with BackgroundServer(det, ServeConfig(port=0)) as background:
         yield background
 
 

@@ -22,7 +22,7 @@ def detector():
 
 @pytest.fixture(scope="module")
 def server(detector):
-    config = ServeConfig(port=0, max_batch=4, max_wait_ms=10.0, queue_limit=8)
+    config = ServeConfig(port=0, max_batch=4, queue_limit=8)
     with BackgroundServer(detector, config) as background:
         yield background
 

@@ -34,7 +34,7 @@ def detector(split):
 @pytest.fixture()
 def server(detector):
     """A fresh daemon per test — several tests mutate server state."""
-    config = ServeConfig(port=0, max_batch=4, max_wait_ms=10.0, queue_limit=32)
+    config = ServeConfig(port=0, max_batch=4, queue_limit=32)
     with BackgroundServer(detector, config) as background:
         yield background
 

@@ -1,4 +1,5 @@
-"""Micro-batcher semantics: coalescing, backpressure, drain.
+"""Micro-batcher semantics: work-conserving dispatch, coalescing,
+backpressure, drain.
 
 These tests drive the batcher directly (no HTTP, no model): the scan
 callable is a stub that fabricates :class:`ScanReport` objects, so every
@@ -37,8 +38,38 @@ def run(coro):
     return asyncio.run(coro)
 
 
+class RecordingScan:
+    """``fake_scan`` that records the names of every batch it receives.
+
+    With ``gate=True`` its first batch blocks until ``release`` is set, so
+    tests queue work behind that batch without sleeping and what arrives
+    while the scanner is busy is exact.
+    """
+
+    def __init__(self, gate: bool = False):
+        self.release = threading.Event()
+        if not gate:
+            self.release.set()
+        self.seen: list[list[str]] = []
+
+    def __call__(self, sources, names):
+        self.seen.append(list(names))
+        if len(self.seen) == 1:
+            self.release.wait(timeout=10)
+        return fake_scan(sources, names)
+
+
+async def turns_until(condition, limit: int = 100) -> int:
+    """Yield to the event loop until ``condition()`` holds; return the turns taken."""
+    for turns in range(1, limit + 1):
+        await asyncio.sleep(0)
+        if condition():
+            return turns
+    raise AssertionError(f"condition not reached in {limit} event-loop turns")
+
+
 def make_batcher(executor, **kwargs):
-    defaults = dict(max_batch=4, max_wait_ms=200.0, queue_limit=64)
+    defaults = dict(max_batch=4, queue_limit=64)
     defaults.update(kwargs)
     return MicroBatcher(fake_scan, executor=executor, **defaults)
 
@@ -60,17 +91,64 @@ class TestCoalescing:
         assert batch_sizes == [4, 4]
         assert [result.path for result, _ in resolved] == [f"n{i}" for i in range(8)]
 
-    def test_partial_batch_flushes_on_max_wait(self):
+    def test_partial_batch_flushes_once_scanner_is_idle(self):
+        gate = RecordingScan(gate=True)
+
         async def go():
             with ThreadPoolExecutor(max_workers=1) as executor:
-                batcher = make_batcher(executor, max_batch=10, max_wait_ms=20.0)
+                batcher = MicroBatcher(gate, executor=executor, max_batch=10, queue_limit=64)
                 batcher.start()
-                futures = [batcher.submit("a", "x"), batcher.submit("bb", "y")]
-                await asyncio.gather(*futures)
+                first = batcher.submit("a", "first")
+                await turns_until(lambda: batcher.batch_sizes == [1])
+                late = [batcher.submit("bb", "x"), batcher.submit("ccc", "y")]
+                gate.release.set()
+                await asyncio.gather(first, *late)
                 await batcher.drain()
                 return batcher.batch_sizes
 
-        assert run(go()) == [2]  # flushed by age, not by reaching max_batch
+        # The two late arrivals go out together the moment the scanner is
+        # free, without waiting to reach max_batch.
+        assert run(go()) == [1, 2]
+
+    def test_lone_submission_on_idle_batcher_dispatches_at_once(self):
+        async def go():
+            with ThreadPoolExecutor(max_workers=1) as executor:
+                batcher = make_batcher(executor, max_batch=8)
+                batcher.start()
+                await asyncio.sleep(0)  # the flush loop now awaits the queue
+                started = time.perf_counter()
+                future = batcher.submit("a", "lone")
+                turns = await turns_until(lambda: batcher.batch_sizes == [1])
+                elapsed = time.perf_counter() - started
+                result, _ = await future
+                await batcher.drain()
+                return turns, elapsed, result.path
+
+        turns, elapsed, path = run(go())
+        assert path == "lone"
+        # Dispatched on the next event-loop turns: no timer, no real wait.
+        assert turns <= 3
+        assert elapsed < 0.5
+
+    def test_arrivals_during_a_batch_go_out_together_in_max_batch_chunks(self):
+        gate = RecordingScan(gate=True)
+
+        async def go():
+            with ThreadPoolExecutor(max_workers=1) as executor:
+                batcher = MicroBatcher(gate, executor=executor, max_batch=4, queue_limit=64)
+                batcher.start()
+                first = batcher.submit("a", "first")
+                await turns_until(lambda: batcher.batch_sizes == [1])
+                late = [batcher.submit("s" * i, f"n{i}") for i in range(5)]
+                gate.release.set()
+                resolved = await asyncio.gather(first, *late)
+                await batcher.drain()
+                return batcher.batch_sizes, gate.seen, [r.path for r, _ in resolved]
+
+        batch_sizes, seen, paths = run(go())
+        assert batch_sizes == [1, 4, 1]
+        assert seen == [["first"], ["n0", "n1", "n2", "n3"], ["n4"]]
+        assert paths == ["first"] + [f"n{i}" for i in range(5)]
 
     def test_results_map_back_to_submitters(self):
         async def go():
@@ -160,9 +238,7 @@ class TestDrain:
 
         async def go():
             with ThreadPoolExecutor(max_workers=1) as executor:
-                batcher = MicroBatcher(
-                    slow_scan, executor=executor, max_batch=1, max_wait_ms=0.0, queue_limit=8
-                )
+                batcher = MicroBatcher(slow_scan, executor=executor, max_batch=1, queue_limit=8)
                 batcher.start()
                 future = batcher.submit("x", "x")
                 await asyncio.sleep(0.05)  # let the batch enter the executor
@@ -175,6 +251,48 @@ class TestDrain:
         assert run(go()) >= 0.04  # drain blocked until the scan finished
 
 
+class TestAbandonedWaiters:
+    def test_cancelled_items_are_not_scanned_and_depth_settles(self):
+        scan = RecordingScan()
+
+        async def go():
+            registry = MetricsRegistry()
+            with ThreadPoolExecutor(max_workers=1) as executor:
+                batcher = MicroBatcher(scan, executor=executor, max_batch=4, queue_limit=8, metrics=registry)
+                futures = [batcher.submit(s, s) for s in ("a", "b", "c")]
+                futures[1].cancel()  # e.g. its request timed out while queued
+                batcher.start()
+                resolved = await asyncio.gather(futures[0], futures[2])
+                depth = batcher.queue_depth
+                await batcher.drain()
+            gauge = registry.get("repro_serve_queue_depth").value
+            return [r.path for r, _ in resolved], depth, gauge, batcher.batch_sizes
+
+        paths, depth, gauge, batch_sizes = run(go())
+        assert scan.seen == [["a", "c"]]
+        assert paths == ["a", "c"]
+        assert batch_sizes == [2]
+        assert depth == 0 and gauge == 0
+
+    def test_batch_of_only_cancelled_items_is_skipped(self):
+        scan = RecordingScan()
+
+        async def go():
+            with ThreadPoolExecutor(max_workers=1) as executor:
+                batcher = MicroBatcher(scan, executor=executor, max_batch=4, queue_limit=8)
+                batcher.submit("gone", "gone").cancel()
+                batcher.start()
+                live = batcher.submit("x", "live")
+                await live
+                await batcher.drain()
+                return batcher.queue_depth, batcher.batch_sizes
+
+        depth, batch_sizes = run(go())
+        assert scan.seen == [["live"]]
+        assert batch_sizes == [1]
+        assert depth == 0
+
+
 class TestFailures:
     def test_scan_exception_propagates_to_futures(self):
         def broken_scan(sources, names):
@@ -182,9 +300,7 @@ class TestFailures:
 
         async def go():
             with ThreadPoolExecutor(max_workers=1) as executor:
-                batcher = MicroBatcher(
-                    broken_scan, executor=executor, max_batch=4, max_wait_ms=5.0, queue_limit=8
-                )
+                batcher = MicroBatcher(broken_scan, executor=executor, max_batch=4, queue_limit=8)
                 batcher.start()
                 future = batcher.submit("x", "x")
                 with pytest.raises(RuntimeError, match="engine on fire"):
@@ -197,7 +313,5 @@ class TestFailures:
         with ThreadPoolExecutor(max_workers=1) as executor:
             with pytest.raises(ValueError):
                 MicroBatcher(fake_scan, executor=executor, max_batch=0)
-            with pytest.raises(ValueError):
-                MicroBatcher(fake_scan, executor=executor, max_wait_ms=-1)
             with pytest.raises(ValueError):
                 MicroBatcher(fake_scan, executor=executor, queue_limit=0)

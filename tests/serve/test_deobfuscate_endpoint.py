@@ -51,7 +51,7 @@ def detector(split):
 
 @pytest.fixture(scope="module")
 def server(detector):
-    config = ServeConfig(port=0, max_batch=4, max_wait_ms=10.0, queue_limit=32)
+    config = ServeConfig(port=0, max_batch=4, queue_limit=32)
     with BackgroundServer(detector, config) as background:
         yield background
 
@@ -136,7 +136,7 @@ class TestConfig:
         assert body["data"]["config"]["deobfuscate"] is False
 
     def test_config_default_applies_when_flag_omitted(self, detector):
-        config = ServeConfig(port=0, max_batch=2, max_wait_ms=5.0, deobfuscate=True)
+        config = ServeConfig(port=0, max_batch=2, deobfuscate=True)
         with BackgroundServer(detector, config) as background:
             _, body = http_json(
                 background, "POST", "/v1/scan", {"source": OBFUSCATED, "name": "obf.js"}

@@ -37,7 +37,7 @@ def exposition():
     det = JSRevealer(JSRevealerConfig(embed_dim=16, pretrain_epochs=3, k_benign=4, k_malicious=4, seed=7))
     det.pretrain(split.pretrain.sources, split.pretrain.labels)
     det.fit(split.train.sources, split.train.labels)
-    with BackgroundServer(det, ServeConfig(port=0, max_wait_ms=5.0)) as background:
+    with BackgroundServer(det, ServeConfig(port=0)) as background:
         def request(method, path, payload=None):
             connection = http.client.HTTPConnection(background.host, background.port, timeout=30)
             body = json.dumps(payload) if payload is not None else None

@@ -40,7 +40,7 @@ def detector(split):
 
 @pytest.fixture(scope="module")
 def server(detector):
-    config = ServeConfig(port=0, max_batch=4, max_wait_ms=10.0, queue_limit=32)
+    config = ServeConfig(port=0, max_batch=4, queue_limit=32)
     with BackgroundServer(detector, config) as background:
         yield background
 
@@ -194,10 +194,23 @@ class TestConcurrency:
             f"s{i}": (r.label, r.probability)
             for i, r in enumerate(detector.scan_batch(sources).results)
         }
-        # A generous max_wait gives slow CI machines time to coalesce;
-        # the flush-on-count path still fires as soon as 4 are queued.
-        config = ServeConfig(port=0, max_batch=4, max_wait_ms=150.0, queue_limit=32)
+        config = ServeConfig(port=0, max_batch=4, queue_limit=32)
         with BackgroundServer(detector, config) as background:
+            batcher = background.server.batcher
+            original = batcher._scan
+            first_batch: list[int] = []
+
+            def gated(sources, names, metas=None):
+                # The first batch holds the scanner until every client's
+                # request is admitted, so what queues behind it is exact.
+                if not first_batch:
+                    first_batch.append(len(sources))
+                    deadline = time.time() + 10
+                    while len(sources) + batcher.queue_depth < 8 and time.time() < deadline:
+                        time.sleep(0.005)
+                return original(sources, names, metas)
+
+            batcher._scan = gated
             report = run_load(
                 background.host,
                 background.port,
@@ -205,18 +218,20 @@ class TestConcurrency:
                 concurrency=8,
                 repeats=1,
             )
-            batch_sizes = list(background.server.batcher.batch_sizes)
+            batch_sizes = list(batcher.batch_sizes)
 
         assert report.errors == 0
         assert report.requests == 8
         for result in report.results:
             assert (result.label, result.probability) == expected[result.name], result.name
-        # 8 clients, max_batch=4 → at most ceil(8/4) = 2 dispatched batches.
-        assert sum(batch_sizes) == 8
-        assert len(batch_sizes) <= 2
+        # The first arrival goes out alone on an idle scanner; the rest
+        # queued behind it and leave in max_batch chunks: [1, 4, 3].
+        first = first_batch[0]
+        queued = 8 - first
+        assert batch_sizes == [first] + [4] * (queued // 4) + ([queued % 4] if queued % 4 else [])
 
     def test_queue_full_returns_429_with_retry_after(self, detector, split):
-        config = ServeConfig(port=0, max_batch=1, max_wait_ms=0.0, queue_limit=1)
+        config = ServeConfig(port=0, max_batch=1, queue_limit=1)
         with BackgroundServer(detector, config) as background:
             gate = threading.Event()
             original = background.server.batcher._scan
@@ -258,7 +273,7 @@ class TestConcurrency:
             assert statuses["second"][0] == 200
 
     def test_graceful_shutdown_answers_in_flight_requests(self, detector, split):
-        config = ServeConfig(port=0, max_batch=1, max_wait_ms=0.0, queue_limit=8)
+        config = ServeConfig(port=0, max_batch=1, queue_limit=8)
         background = BackgroundServer(detector, config)
         background.__enter__()
         try:
@@ -288,7 +303,7 @@ class TestConcurrency:
 
     def test_request_timeout_is_503(self, detector, split):
         config = ServeConfig(
-            port=0, max_batch=1, max_wait_ms=0.0, queue_limit=8, request_timeout_s=0.2
+            port=0, max_batch=1, queue_limit=8, request_timeout_s=0.2
         )
         with BackgroundServer(detector, config) as background:
             gate = threading.Event()

@@ -39,7 +39,7 @@ def detector(split):
 def server(detector):
     # Sample rate 0: only requests with an inbound sampled traceparent are
     # traced, which makes every assertion below deterministic.
-    config = ServeConfig(port=0, max_batch=4, max_wait_ms=10.0, trace_sample_rate=0.0)
+    config = ServeConfig(port=0, max_batch=4, trace_sample_rate=0.0)
     with BackgroundServer(detector, config) as background:
         yield background
 
