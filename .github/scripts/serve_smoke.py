@@ -1,6 +1,7 @@
 """CI smoke check for `repro serve`: healthz, one scan, metrics.
 
-Usage: serve_smoke.py BASE_URL SCRIPT_PATH [--chaos] [--trace-out PATH] [--deobfuscate]
+Usage: serve_smoke.py BASE_URL SCRIPT_PATH [--chaos] [--pool-death] [--trace-out PATH]
+       [--deobfuscate]
 
 Speaks the v1 API through :class:`repro.client.ScanClient` — the same
 typed client the load generator and cluster smoke use — so the smoke
@@ -13,7 +14,11 @@ asserts the id rides end-to-end and that the stored trace at
 the span tree to PATH (uploaded as a workflow artifact).  With
 ``--chaos`` (daemon booted with ``REPRO_FAULT_INJECT=1`` and
 ``--timeout-s``), additionally POSTs a hang-marker script and asserts the
-degraded-verdict + quarantine contract survives a worker kill.
+degraded-verdict + quarantine contract survives a worker kill.  With
+``--pool-death`` (daemon booted with ``REPRO_FAULT_INJECT=1`` and
+``--workers 2``, no limits), additionally POSTs a batch whose second
+script kills its worker and asserts both scripts still come back ``ok``
+and the daemon keeps answering.
 Exits non-zero (with the failure printed) on any violation.
 """
 
@@ -83,6 +88,22 @@ def chaos(client):
     print("chaos: daemon survived a hung worker; quarantine + breaker healthy")
 
 
+def pool_death(client, source):
+    """A worker that dies mid-batch must cost one in-process re-run, not the daemon."""
+    # A fresh source, so both scripts miss the feature cache and go to the pool.
+    scripts = [
+        {"source": source + "\n// pool-death probe", "name": "sample_0.js"},
+        {"source": "/* @repro-fault:exit137 */ var c = 3;", "name": "exit137.js"},
+    ]
+    body = client.scan_batch(scripts)
+    statuses = [result["status"] for result in body["results"]]
+    assert statuses == ["ok", "ok"], body
+
+    verdict = client.scan(source + "\n// after pool death", name="after.js")
+    assert verdict.verdict in ("benign", "malicious"), verdict.raw
+    print("pool-death: batch with a dying worker answered ok; daemon still scanning")
+
+
 def deobfuscate_check(client):
     """The per-request pre-pass flag must surface normalization provenance."""
     repo_root = pathlib.Path(__file__).resolve().parents[2]
@@ -136,6 +157,8 @@ def main(base_url, script_path, extra):
         deobfuscate_check(client)
     if "--chaos" in extra:
         chaos(client)
+    if "--pool-death" in extra:
+        pool_death(client, source)
 
 
 if __name__ == "__main__":

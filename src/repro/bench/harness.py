@@ -158,10 +158,11 @@ def scan_timing_comparison(
     """
     from repro.pipeline import BatchScanner
 
-    return {
-        "sequential": BatchScanner(detector, n_workers=1).scan(sources),
-        "parallel": BatchScanner(detector, n_workers=n_workers, cache=cache).scan(sources),
-    }
+    with (
+        BatchScanner(detector, n_workers=1) as sequential,
+        BatchScanner(detector, n_workers=n_workers, cache=cache) as parallel,
+    ):
+        return {"sequential": sequential.scan(sources), "parallel": parallel.scan(sources)}
 
 
 def format_timing_table(reports: dict[str, "object"], title: str = "") -> str:

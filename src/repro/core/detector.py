@@ -41,6 +41,27 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.pipeline import FeatureCache, ScanReport, ScanResult
 
 
+def embed_capped(
+    embedder: PathEmbedder,
+    contexts: list[PathContext],
+    max_paths: int,
+    return_indices: bool = False,
+) -> tuple[np.ndarray, np.ndarray] | tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Embed one script's paths, keeping its ``max_paths`` highest-weighted.
+
+    Shared by :meth:`JSRevealer.embed_script` (the detector's embedder)
+    and the scan-pool workers (their private copy of it).
+    """
+    vectors, weights = embedder.embed(contexts)
+    kept = np.arange(len(vectors))
+    if len(vectors) > max_paths:
+        kept = np.argsort(weights)[::-1][:max_paths]
+        vectors, weights = vectors[kept], weights[kept]
+    if return_indices:
+        return vectors, weights, kept
+    return vectors, weights
+
+
 @dataclass
 class Explanation:
     """One row of the Table VII-style interpretability report."""
@@ -131,17 +152,12 @@ class JSRevealer:
         With ``return_indices=True`` the indices (into ``contexts``) of the
         rows that survived the ``max_paths_per_script`` cap are returned as
         a third element, so callers can keep per-path metadata (signatures)
-        aligned with the vectors.
+        aligned with the vectors.  Untimed: callers account the
+        ``embedding`` stage (the batch scanner does so per script).
         """
-        with self._timed("embedding"):
-            vectors, weights = self.embedder.embed(contexts)
-        kept = np.arange(len(vectors))
-        if len(vectors) > self.config.max_paths_per_script:
-            kept = np.argsort(weights)[::-1][: self.config.max_paths_per_script]
-            vectors, weights = vectors[kept], weights[kept]
-        if return_indices:
-            return vectors, weights, kept
-        return vectors, weights
+        return embed_capped(
+            self.embedder, contexts, self.config.max_paths_per_script, return_indices
+        )
 
     # ------------------------------------------------------------- pretrain
 
@@ -167,7 +183,8 @@ class JSRevealer:
         signatures: list[list[str]] = []
         for source in sources:
             contexts = self.extract_paths(source)
-            vectors, weights, kept = self.embed_script(contexts, return_indices=True)
+            with self._timed("embedding"):
+                vectors, weights, kept = self.embed_script(contexts, return_indices=True)
             embedded.append((vectors, weights))
             # Signatures follow the kept-index array so that when the path
             # cap drops low-weight rows, each signature still names the path
@@ -203,7 +220,12 @@ class JSRevealer:
 
     def features_for(self, sources: list[str]) -> np.ndarray:
         """Normalized cluster-feature matrix for a batch of scripts."""
-        embedded = [self.embed_script(self.extract_paths(source)) for source in sources]
+        embedded = []
+        for source in sources:
+            contexts = self.extract_paths(source)
+            with self._timed("embedding"):
+                vectors, weights = self.embed_script(contexts)
+            embedded.append((vectors, weights))
         with self._timed("feature_transform"):
             return self.feature_extractor.transform(embedded, fit_scaler=False)
 
@@ -228,8 +250,9 @@ class JSRevealer:
         """Scan a batch of scripts, optionally in parallel and cached.
 
         ``n_workers > 1`` fans extraction + embedding out over a process
-        pool (verdicts are byte-identical to the sequential path; pool
-        failures degrade to it).  ``cache_dir`` enables the persistent
+        pool, stopped before this call returns (verdicts are
+        byte-identical to the sequential path; pool failures degrade to
+        it).  ``cache_dir`` enables the persistent
         content-addressed embedding cache, keyed to this model's
         :meth:`fingerprint` so retrained models never see stale entries.
         ``triage=True`` runs the static-analysis rule catalog first:
@@ -267,7 +290,7 @@ class JSRevealer:
             from repro.deobfuscate import Deobfuscator
 
             deobfuscator = Deobfuscator(limits=limits)
-        scanner = BatchScanner(
+        with BatchScanner(
             self,
             n_workers=n_workers,
             cache=cache,
@@ -276,8 +299,8 @@ class JSRevealer:
             quarantine=quarantine,
             tracer=tracer,
             deobfuscate=deobfuscator,
-        )
-        return scanner.scan(sources, names=names, threshold=threshold, trace=trace or None)
+        ) as scanner:
+            return scanner.scan(sources, names=names, threshold=threshold, trace=trace or None)
 
     def predict(self, sources: list[str]) -> np.ndarray:
         """Label array (1 = malicious); thin wrapper over :meth:`scan_batch`."""

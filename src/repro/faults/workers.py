@@ -28,6 +28,7 @@ import multiprocessing
 import multiprocessing.connection
 import signal
 import time
+import weakref
 from dataclasses import dataclass
 from typing import Any
 
@@ -102,6 +103,10 @@ def build_embed_init(detector) -> dict:
 
 
 def _build_embed_state(init: dict) -> dict:
+    """A worker's private extractor and capped embed, rebuilt from ``init``."""
+    from functools import partial
+
+    from repro.core.detector import embed_capped
     from repro.embedding import PathEmbedder
     from repro.paths import PathExtractor
 
@@ -110,26 +115,25 @@ def _build_embed_state(init: dict) -> dict:
     embedder._trained = True
     return {
         "extractor": PathExtractor(**init["extractor_kwargs"]),
-        "embedder": embedder,
-        "max_paths": init["max_paths"],
+        "embed_script": partial(embed_capped, embedder, max_paths=init["max_paths"]),
     }
 
 
 def _run_embed(state: dict, source: str, capture_paths: bool = False) -> tuple:
-    """Extract + embed one script; mirrors the sequential stage semantics.
+    """Extract + embed one script: the per-script prefix of detection.
 
-    Both worker pools run this: the isolated pool here and the
-    ``multiprocessing.Pool`` of :class:`~repro.pipeline.BatchScanner`.
+    ``state`` holds an ``extractor`` and an ``embed_script`` with the
+    signature of :meth:`~repro.core.detector.JSRevealer.embed_script`.
+    Pool workers pass their private copies (:func:`_build_embed_state`);
+    :class:`~repro.pipeline.BatchScanner` scans in-process by passing the
+    detector's own extractor and ``embed_script``.
 
     With ``capture_paths`` the top attention-weighted path signatures ride
     along as provenance (the Table VII evidence for a traced verdict).
     """
-    import numpy as np
-
     from repro.jsparser import JSSyntaxError
     from repro.paths import ExtractionError
 
-    maybe_inject(source, stage="embed")
     status = "ok"
     started = time.perf_counter()
     try:
@@ -139,16 +143,16 @@ def _run_embed(state: dict, source: str, capture_paths: bool = False) -> tuple:
         status = "parse_error"
     extract_ms = 1000.0 * (time.perf_counter() - started)
 
-    path_count = len(contexts)
     started = time.perf_counter()
-    vectors, weights = state["embedder"].embed(contexts)
-    if len(vectors) > state["max_paths"]:
-        top = np.argsort(weights)[::-1][: state["max_paths"]]
-        vectors, weights = vectors[top], weights[top]
-        contexts = [contexts[int(i)] for i in top]
-    embed_ms = 1000.0 * (time.perf_counter() - started)
-    top_paths = _top_attention_paths(contexts, weights) if capture_paths else None
-    return vectors, weights, path_count, extract_ms, embed_ms, status, top_paths
+    top_paths = None
+    if capture_paths:
+        vectors, weights, kept = state["embed_script"](contexts, return_indices=True)
+        embed_ms = 1000.0 * (time.perf_counter() - started)
+        top_paths = _top_attention_paths([contexts[int(i)] for i in kept], weights)
+    else:
+        vectors, weights = state["embed_script"](contexts)
+        embed_ms = 1000.0 * (time.perf_counter() - started)
+    return vectors, weights, len(contexts), extract_ms, embed_ms, status, top_paths
 
 
 def _top_attention_paths(contexts, weights, k: int = 5) -> list[dict]:
@@ -233,6 +237,7 @@ def _worker_main(conn, embed_init: dict | None, limits_dict: dict | None) -> Non
             if kind == "embed":
                 if embed_state is None:
                     embed_state = _build_embed_state(embed_init)
+                maybe_inject(source, stage="embed")
                 payload = _run_embed(embed_state, source, capture_paths=traceparent is not None)
             elif kind == "analyze":
                 if analyzer is None:
@@ -320,6 +325,12 @@ class _Worker:
             pass
 
 
+def _stop_workers(workers: list[_Worker]) -> None:
+    for worker in list(workers):
+        worker.shutdown()
+    workers.clear()
+
+
 class IsolatedPool:
     """Supervised pool of single-task workers with per-script deadlines.
 
@@ -327,7 +338,8 @@ class IsolatedPool:
         embed_init: Frozen pipeline config from :func:`build_embed_init`
             (may be ``None`` for analyze-only pools, e.g. tests).
         limits: Resource bounds applied inside each worker plus the
-            parent-enforced wall-clock deadline.
+            parent-enforced wall-clock deadline; ``None`` runs tasks
+            unbounded, with deaths still attributed and workers replaced.
         n_workers: Concurrent workers; the pool is replenished to this size
             whenever a worker is lost.
     """
@@ -345,6 +357,10 @@ class IsolatedPool:
         self.n_workers = n_workers
         self._ctx = multiprocessing.get_context()
         self._workers: list[_Worker] = []
+        # A pool dropped without close() still stops its workers: under fork
+        # each worker holds a copy of its own pipe's parent end, so it never
+        # sees EOF and would idle until the interpreter exits.
+        weakref.finalize(self, _stop_workers, self._workers)
         #: Workers lost to kills/deaths over the pool's lifetime (test hook).
         self.workers_lost = 0
 
@@ -369,9 +385,7 @@ class IsolatedPool:
             worker.kill()
 
     def close(self) -> None:
-        for worker in list(self._workers):
-            worker.shutdown()
-        self._workers.clear()
+        _stop_workers(self._workers)
 
     def __enter__(self) -> "IsolatedPool":
         return self

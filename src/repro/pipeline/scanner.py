@@ -1,42 +1,43 @@
-"""Parallel batch-scanning engine.
+"""Batch-scanning engine.
 
-Per-script work (parse → enhanced AST → path contexts → embedding) is
-CPU-bound and embarrassingly parallel, and Table VIII shows it dominates
-detection cost; the shared stages (cluster-feature transform, forest
-classification) are sub-millisecond and stay in-process.  The scanner
-therefore:
+Per-script work (parse → enhanced AST → path contexts → embedding and
+the 300-path cap) is CPU-bound and embarrassingly parallel, and Table
+VIII shows it dominates detection cost; the shared stages
+(cluster-feature transform, forest classification) are sub-millisecond
+and stay in-process.  The scanner therefore:
 
 1. consults the content-addressed :class:`~repro.pipeline.cache.FeatureCache`
    (embeddings are pure functions of source bytes + model parameters),
-2. fans cache misses out over a ``multiprocessing`` pool whose workers hold
-   a private copy of the extractor and the frozen embedding model,
-3. keeps a bounded in-flight window (backpressure: at most
-   ``queue_depth`` scripts are queued or awaiting collection at once, so
-   huge corpora never balloon the parent's memory),
-4. feeds the collected embeddings through the single-process feature
+2. runs every cache miss through one per-script function,
+   :func:`~repro.faults.workers._run_embed`: in-process on the detector's
+   own extractor and embedder, or in an :class:`~repro.faults.IsolatedPool`
+   whose workers hold a private copy of both,
+3. feeds the collected embeddings through the single-process feature
    transform + classifier and returns a structured
    :class:`~repro.pipeline.results.ScanReport`.
 
-Determinism: workers run exactly the numpy operations of the sequential
-path on identical inputs, so ``--workers 4`` output is byte-identical to
-``--workers 1``.  Any failure to start or drive the pool degrades
-gracefully to the sequential path.
+The pool starts with the first scan that needs it (``n_workers > 1`` and
+at least two misses, or active :class:`~repro.faults.ScanLimits`) and
+lives until :meth:`BatchScanner.close`.
 
-Fault isolation: when :class:`~repro.faults.ScanLimits` are given, pending
-scripts are dispatched through the supervised
-:class:`~repro.faults.IsolatedPool` instead — each under a wall-clock
-deadline and kernel rlimits — so a script that hangs, OOMs, or kills its
-worker is quarantined and answered with a structured degraded verdict
-while every other script in the batch gets its normal, byte-identical
-result.  See DESIGN.md §9.
+Determinism: workers run exactly the numpy operations of the in-process
+path on identical inputs, so ``--workers 4`` output is byte-identical to
+``--workers 1``.  A pool that fails to start or run degrades to the
+in-process path for the whole batch; without limits, a script whose
+worker died or raised is re-run in-process, so one lost worker never
+stalls the batch.
+
+Fault isolation: with limits, every pooled script runs under a
+wall-clock deadline and kernel rlimits, so a script that hangs, OOMs, or
+kills its worker is quarantined and answered with a structured degraded
+verdict while every other script in the batch gets its normal,
+byte-identical result.  See DESIGN.md §9.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import sys
 import time
-from collections import deque
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -50,37 +51,18 @@ from repro.faults import (
     Task,
     build_embed_init,
 )
-from repro.faults.workers import _build_embed_state, _run_embed, _top_attention_paths
+from repro.faults.workers import _run_embed
 from repro.ml import DecisionTreeClassifier, RandomForestClassifier
 from repro.obs.trace import SpanContext, new_span_id, trace_spans
 
 from .cache import CacheEntry, FeatureCache, content_key
-from .results import STAGE_KEYS, STATUS_OK, STATUS_PARSE_ERROR, ScanReport, ScanResult
+from .results import STAGE_KEYS, STATUS_OK, ScanReport, ScanResult
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.analysis import Analyzer
     from repro.core.detector import JSRevealer
     from repro.deobfuscate import Deobfuscator, NormalizationReport
     from repro.obs import MetricsRegistry, Span, Tracer
-
-# ------------------------------------------------------------------ workers
-#
-# ``multiprocessing.Pool`` workers run the same per-script pipeline prefix
-# as the isolated pool (``repro.faults.workers``): the frozen config from
-# ``build_embed_init`` is sent once through the pool initializer, so it
-# survives spawn-based start methods too.
-
-_WORKER_STATE: dict = {}
-
-
-def _init_worker(init: dict) -> None:
-    global _WORKER_STATE
-    _WORKER_STATE = _build_embed_state(init)
-
-
-def _embed_source(source: str, capture_paths: bool = False) -> tuple:
-    return _run_embed(_WORKER_STATE, source, capture_paths)
-
 
 #: Classifiers whose ``predict`` is ``classes_[argmax(predict_proba(X))]``:
 #: one ``predict_proba`` pass yields their labels too.  Exact types only, as
@@ -104,18 +86,16 @@ class BatchScanner:
     Args:
         detector: A fitted detector (its embedder/extractor/classifier are
             the single source of truth; the scanner owns no model state).
-        n_workers: Pool size; ``1`` selects the in-process sequential path.
+        n_workers: Pool size; ``1`` scans in-process unless ``limits``
+            are active.  The pool starts with the first scan that needs it
+            and is reused by every later scan until :meth:`close`, so a
+            daemon scanning many micro-batches pays fork + model transfer
+            once.  Call :meth:`close` (or use the scanner as a context
+            manager) when done; a broken pool is discarded and rebuilt
+            lazily.
         cache: Optional content-addressed embedding cache.  Callers are
             responsible for keying it to ``detector.fingerprint()`` —
             :meth:`JSRevealer.scan_batch` does this automatically.
-        queue_depth: Bound on in-flight pool tasks (default
-            ``4 × n_workers``).
-        persistent: Keep the worker pool alive across :meth:`scan` calls.
-            One-shot callers amortize pool startup over a single large
-            batch, but a long-lived daemon scanning many micro-batches
-            would otherwise pay fork + model-transfer on every flush.
-            Call :meth:`close` (or use the scanner as a context manager)
-            when done; a broken pool is discarded and rebuilt lazily.
         metrics: Optional :class:`~repro.obs.MetricsRegistry`; when given,
             each scan records batch size, script count, and per-stage
             latency histograms.
@@ -128,9 +108,9 @@ class BatchScanner:
             through the full pipeline unchanged, so verdicts are identical
             to an untriaged scan for them.
         limits: Optional :class:`~repro.faults.ScanLimits`.  When any bound
-            is set, pending scripts run in the fault-isolated worker pool:
-            a script that overruns its deadline, trips the memory rlimit,
-            or kills its worker comes back as a structured
+            is set, pending scripts always run in the worker pool, under
+            those bounds: a script that overruns its deadline, trips the
+            memory rlimit, or kills its worker comes back as a structured
             ``timeout``/``oom``/``crashed`` result (with a degraded
             triage-only verdict where the analyzer survives) instead of
             taking the batch down.
@@ -159,8 +139,6 @@ class BatchScanner:
         detector: "JSRevealer",
         n_workers: int = 1,
         cache: FeatureCache | None = None,
-        queue_depth: int | None = None,
-        persistent: bool = False,
         metrics: "MetricsRegistry | None" = None,
         triage: "Analyzer | None" = None,
         limits: ScanLimits | None = None,
@@ -173,9 +151,7 @@ class BatchScanner:
         self.detector = detector
         self.n_workers = n_workers
         self.cache = cache
-        self.queue_depth = queue_depth if queue_depth is not None else max(4 * n_workers, 8)
-        self.persistent = persistent
-        self._pool = None
+        self._pool: IsolatedPool | None = None
         self.triage = triage
         if limits is not None:
             limits.validate()
@@ -184,7 +160,6 @@ class BatchScanner:
         if quarantine is None and self.isolated:
             quarantine = QuarantineJournal()
         self.quarantine = quarantine
-        self._iso_pool: IsolatedPool | None = None
         self.tracer = tracer
         self.deobfuscate = deobfuscate
         self.metrics = metrics
@@ -232,24 +207,17 @@ class BatchScanner:
     # -------------------------------------------------------------- lifecycle
 
     def close(self) -> None:
-        """Tear down the persistent worker pools, if any are running."""
+        """Stop the worker pool, if one is running."""
         if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
+            self._pool.close()
             self._pool = None
-        self._close_iso_pool()
 
-    def _ensure_iso_pool(self) -> IsolatedPool:
-        if self._iso_pool is None:
-            self._iso_pool = IsolatedPool(
+    def _ensure_pool(self) -> IsolatedPool:
+        if self._pool is None:
+            self._pool = IsolatedPool(
                 build_embed_init(self.detector), limits=self.limits, n_workers=self.n_workers
             )
-        return self._iso_pool
-
-    def _close_iso_pool(self) -> None:
-        if self._iso_pool is not None:
-            self._iso_pool.close()
-            self._iso_pool = None
+        return self._pool
 
     def _count_failure(self, cause: str | None) -> None:
         if self.metrics is not None and cause in FAULT_CAUSES:
@@ -438,47 +406,29 @@ class BatchScanner:
             pending = still_pending
 
         workers_used = 1
-        if self.isolated:
-            workers_used = self.n_workers
+        if self.isolated or (self.n_workers > 1 and len(pending) > 1):
             try:
-                self._embed_isolated(
+                self._embed_pooled(
                     pending, sources, names, keys, entries, per_file_ms, statuses, fault_info,
-                    faulted, root=root, file_span_ids=file_span_ids,
-                    worker_spans=worker_spans, top_paths=top_paths,
+                    faulted, worker_spans, top_paths, root=root, file_span_ids=file_span_ids,
                 )
                 self._degraded_analyses(
                     faulted, sources, names, analyses, per_file_ms,
                     norm_reports=norm_reports, raw_sources=raw_sources,
                     root=root, file_span_ids=file_span_ids, worker_spans=worker_spans,
                 )
-            except Exception as error:  # pool bootstrap failure, not a task fault
-                self._close_iso_pool()
-                print(
-                    f"warning: isolated pool failed ({error!r}); scanning sequentially",
-                    file=sys.stderr,
-                )
-                workers_used = 1
-            finally:
-                if not self.persistent:
-                    self._close_iso_pool()
-        elif self.n_workers > 1 and len(pending) > 1:
-            try:
-                self._embed_parallel(
-                    pending, sources, entries, per_file_ms, statuses,
-                    capture_paths=recording, top_paths=top_paths,
-                )
                 workers_used = self.n_workers
-            except Exception as error:  # pool start/transport failure
+            except Exception as error:  # pool start/transport failure, not a task fault
+                self.close()
                 print(
                     f"warning: worker pool failed ({error!r}); scanning sequentially",
                     file=sys.stderr,
                 )
-        for i in pending:  # sequential path + parallel-failure backstop
-            if entries[i] is not None or statuses[i] in FAULT_CAUSES:
-                continue
-            entries[i], statuses[i], top_paths[i] = self._embed_sequential(
-                sources[i], per_file_ms[i], capture_paths=recording
-            )
+        embed_state = {"extractor": detector.extractor, "embed_script": detector.embed_script}
+        for i in pending:  # in-process path + pool backstop
+            if entries[i] is None and statuses[i] not in FAULT_CAUSES:
+                payload = _run_embed(embed_state, sources[i], recording)
+                self._settle(i, payload, entries, statuses, per_file_ms, top_paths)
         if self.cache is not None:
             for i in pending:
                 # Only clean embeddings are cached: a parse_error entry would
@@ -499,10 +449,9 @@ class BatchScanner:
                     if self.metrics is not None:
                         self._m_dedup_cluster.inc()
                     continue
-                entries[i], statuses[i], top_paths[i] = self._embed_sequential(
-                    sources[i], per_file_ms[i], capture_paths=recording
-                )
-                if entries[i] is not None and statuses[i] == STATUS_OK:
+                payload = _run_embed(embed_state, sources[i], recording)
+                self._settle(i, payload, entries, statuses, per_file_ms, top_paths)
+                if statuses[i] == STATUS_OK:
                     self.cache.put(keys[i], entries[i])
 
         # In-batch duplicates copy their primary's outcome wholesale (the
@@ -807,117 +756,31 @@ class BatchScanner:
 
     # ------------------------------------------------------------ embedding
 
-    def _embed_sequential(
-        self, source: str, file_ms: dict[str, float], capture_paths: bool = False
-    ) -> tuple[CacheEntry, str, list | None]:
-        from repro.jsparser import JSSyntaxError
-        from repro.paths import ExtractionError
-
-        detector = self.detector
-        status = STATUS_OK
-        started = time.perf_counter()
-        with detector._timed("path_extraction"):
-            try:
-                contexts = detector.extractor.extract_from_source(source)
-            except (JSSyntaxError, ExtractionError, RecursionError):
-                contexts = []
-                status = STATUS_PARSE_ERROR
-        file_ms["path_extraction"] = 1000.0 * (time.perf_counter() - started)
-        started = time.perf_counter()
-        top_paths: list | None = None
-        if capture_paths:
-            vectors, weights, kept = detector.embed_script(contexts, return_indices=True)
-            file_ms["embedding"] = 1000.0 * (time.perf_counter() - started)
-            top_paths = _top_attention_paths([contexts[int(j)] for j in kept], weights)
-        else:
-            vectors, weights = detector.embed_script(contexts)
-            file_ms["embedding"] = 1000.0 * (time.perf_counter() - started)
-        entry = CacheEntry(vectors=vectors, weights=weights, path_count=len(contexts))
-        return entry, status, top_paths
-
-    def _create_pool(self):
-        context = multiprocessing.get_context()
-        return context.Pool(
-            processes=self.n_workers, initializer=_init_worker, initargs=(build_embed_init(self.detector),)
-        )
-
-    def _embed_parallel(
+    def _settle(
         self,
-        pending: list[int],
-        sources: list[str],
+        i: int,
+        payload: tuple,
         entries: list[CacheEntry | None],
-        per_file_ms: list[dict[str, float]],
         statuses: list[str],
-        capture_paths: bool = False,
-        top_paths: list[list | None] | None = None,
-    ) -> None:
-        if self.persistent:
-            if self._pool is None:
-                self._pool = self._create_pool()
-            try:
-                self._drive_pool(
-                    self._pool, pending, sources, entries, per_file_ms, statuses,
-                    capture_paths, top_paths,
-                )
-            except Exception:
-                # A broken persistent pool would poison every later scan;
-                # drop it so the next parallel scan rebuilds from scratch.
-                self.close()
-                raise
-        else:
-            with self._create_pool() as pool:
-                self._drive_pool(
-                    pool, pending, sources, entries, per_file_ms, statuses,
-                    capture_paths, top_paths,
-                )
-
-    def _drive_pool(
-        self,
-        pool,
-        pending: list[int],
-        sources: list[str],
-        entries: list[CacheEntry | None],
         per_file_ms: list[dict[str, float]],
-        statuses: list[str],
-        capture_paths: bool = False,
-        top_paths: list[list | None] | None = None,
+        top_paths: list[list | None],
     ) -> None:
+        """Land one :func:`_run_embed` result, pooled or in-process."""
+        vectors, weights, path_count, extract_ms, embed_ms, status, paths = payload
+        entries[i] = CacheEntry(vectors=vectors, weights=weights, path_count=path_count)
+        statuses[i] = status
+        per_file_ms[i]["path_extraction"] = extract_ms
+        per_file_ms[i]["embedding"] = embed_ms
+        top_paths[i] = paths
+        # Worker CPU time lands in the detector's Table VIII accounting too,
+        # even though wall-clock overlaps under the pool.
         detector = self.detector
-        todo = iter(pending)
-        in_flight: deque = deque()
+        detector.stage_seconds["path_extraction"] += extract_ms / 1000.0
+        detector.stage_counts["path_extraction"] += 1
+        detector.stage_seconds["embedding"] += embed_ms / 1000.0
+        detector.stage_counts["embedding"] += 1
 
-        def submit() -> bool:
-            position = next(todo, None)
-            if position is None:
-                return False
-            in_flight.append(
-                (position, pool.apply_async(_embed_source, (sources[position], capture_paths)))
-            )
-            return True
-
-        for _ in range(self.queue_depth):
-            if not submit():
-                break
-        while in_flight:
-            position, handle = in_flight.popleft()
-            vectors, weights, path_count, extract_ms, embed_ms, status, paths = handle.get()
-            entries[position] = CacheEntry(vectors=vectors, weights=weights, path_count=path_count)
-            statuses[position] = status
-            per_file_ms[position]["path_extraction"] = extract_ms
-            per_file_ms[position]["embedding"] = embed_ms
-            if top_paths is not None:
-                top_paths[position] = paths
-            # Worker CPU time still lands in the detector's Table VIII
-            # accounting, even though wall-clock overlaps under the pool.
-            detector.stage_seconds["path_extraction"] += extract_ms / 1000.0
-            detector.stage_counts["path_extraction"] += 1
-            detector.stage_seconds["embedding"] += embed_ms / 1000.0
-            detector.stage_counts["embedding"] += 1
-            submit()
-
-    # ------------------------------------------------------------- isolation
-
-    def _embed_isolated(
+    def _embed_pooled(
         self,
         pending: list[int],
         sources: list[str],
@@ -928,23 +791,24 @@ class BatchScanner:
         statuses: list[str],
         fault_info: list[dict | None],
         faulted: list[int],
+        worker_spans: list[list | None],
+        top_paths: list[list | None],
         root: "Span | None" = None,
         file_span_ids: list[str] | None = None,
-        worker_spans: list[list | None] | None = None,
-        top_paths: list[list | None] | None = None,
     ) -> None:
-        """Run pending scripts through the fault-isolated pool.
+        """Run pending scripts through the worker pool.
 
-        Faults are settled in place: status + fault envelope + quarantine
-        record; clean outcomes land exactly like the plain pool's.  When
-        tracing (``root`` given), each task carries a ``traceparent``
-        naming its pre-generated file span id, so the spans the worker
-        ships back re-parent correctly under the batch trace.
+        Ok outcomes land through :meth:`_settle`.  A task that faulted is
+        left to the in-process path after the pool when no limits are
+        set; with limits it is settled in place instead: status + fault
+        envelope + quarantine record.  When tracing (``root`` given),
+        each task carries a ``traceparent`` naming its pre-generated file
+        span id, so the spans the worker ships back re-parent correctly
+        under the batch trace.
         """
         if not pending:
             return
-        detector = self.detector
-        pool = self._ensure_iso_pool()
+        pool = self._ensure_pool()
         recording = root is not None and file_span_ids is not None
         tasks = [
             Task(
@@ -963,19 +827,11 @@ class BatchScanner:
         for outcome in pool.run(tasks):
             i = outcome.index
             if outcome.ok:
-                vectors, weights, path_count, extract_ms, embed_ms, status, paths = outcome.payload
-                entries[i] = CacheEntry(vectors=vectors, weights=weights, path_count=path_count)
-                statuses[i] = status
-                per_file_ms[i]["path_extraction"] = extract_ms
-                per_file_ms[i]["embedding"] = embed_ms
-                if top_paths is not None:
-                    top_paths[i] = paths
-                if worker_spans is not None and outcome.spans:
+                self._settle(i, outcome.payload, entries, statuses, per_file_ms, top_paths)
+                if outcome.spans:
                     worker_spans[i] = list(outcome.spans)
-                detector.stage_seconds["path_extraction"] += extract_ms / 1000.0
-                detector.stage_counts["path_extraction"] += 1
-                detector.stage_seconds["embedding"] += embed_ms / 1000.0
-                detector.stage_counts["embedding"] += 1
+                continue
+            if not self.isolated:
                 continue
             statuses[i] = outcome.cause or "crashed"
             fault_info[i] = {
@@ -1024,7 +880,7 @@ class BatchScanner:
         todo = [i for i in faulted if analyses[i] is None]
         if not todo:
             return
-        pool = self._ensure_iso_pool()
+        pool = self._ensure_pool()
         recording = root is not None and file_span_ids is not None
         tasks = [
             Task(

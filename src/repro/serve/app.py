@@ -104,7 +104,7 @@ class ServeConfig:
     request_timeout_s: float = 30.0
     retry_after_s: int = 1  # advertised on 429
     # Fault isolation (repro.faults): any of the three limits being set
-    # routes every scan through the isolated worker pool.
+    # routes every scan through the worker pool, under those bounds.
     timeout_s: float | None = None  # per-script wall-clock deadline
     max_rss_mb: int | None = None  # per-worker memory headroom (RLIMIT_AS)
     max_cpu_s: float | None = None  # per-worker CPU cap (RLIMIT_CPU)
@@ -178,7 +178,6 @@ class ScanServer:
             cache_dir=self.config.cache_dir,
             metrics=self.metrics,
         )
-        limits = self.config.scan_limits()
         self.quarantine = (
             QuarantineJournal.in_dir(self.config.quarantine_dir)
             if self.config.quarantine_dir is not None
@@ -198,19 +197,7 @@ class ScanServer:
         )
         self.tracer = Tracer(sample_rate=self.config.trace_sample_rate, sink=self.traces.put)
         self.log = get_logger("serve")
-        # One scanner, one executor thread: scans serialize behind the
-        # batcher, so the scanner (and its persistent pools, when workers
-        # or isolation are enabled) is never entered concurrently.
-        self.scanner = BatchScanner(
-            detector,
-            n_workers=self.config.n_workers,
-            cache=self.cache,
-            persistent=self.config.n_workers > 1 or (limits is not None and limits.active),
-            metrics=self.metrics,
-            limits=limits,
-            quarantine=self.quarantine if limits is not None and limits.active else None,
-            tracer=Tracer(sample_rate=0.0),
-        )
+        self.scanner = self._build_scanner(detector, self.cache)
         # Static analysis shares the metrics registry, so /metrics exposes
         # per-rule finding counters next to the scan histograms.
         self.analyzer = Analyzer(metrics=self.metrics)
@@ -220,7 +207,7 @@ class ScanServer:
         # ``repro_deobfuscate_*`` series on /metrics at zero.
         from repro.deobfuscate import Deobfuscator
 
-        self.deobfuscator = Deobfuscator(limits=limits, metrics=self.metrics)
+        self.deobfuscator = Deobfuscator(limits=self.config.scan_limits(), metrics=self.metrics)
         self._executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix="repro-scan")
         self.batcher = MicroBatcher(
             self._scan_batch,
@@ -925,18 +912,24 @@ class ScanServer:
             cache_dir=self.config.cache_dir,
             metrics=self.metrics,
         )
-        limits = self.config.scan_limits()
-        scanner = BatchScanner(
+        return detector, self._build_scanner(detector, cache), cache
+
+    def _build_scanner(self, detector, cache: FeatureCache) -> BatchScanner:
+        """The served model's scanner; its worker pool lives until ``close()``.
+
+        One scanner, one executor thread: scans serialize behind the
+        batcher, so the scanner (and its pool, when workers or isolation
+        are enabled) is never entered concurrently.
+        """
+        return BatchScanner(
             detector,
             n_workers=self.config.n_workers,
             cache=cache,
-            persistent=self.config.n_workers > 1 or (limits is not None and limits.active),
             metrics=self.metrics,
-            limits=limits,
-            quarantine=self.quarantine if limits is not None and limits.active else None,
+            limits=self.config.scan_limits(),
+            quarantine=self.quarantine,
             tracer=Tracer(sample_rate=0.0),
         )
-        return detector, scanner, cache
 
     def _swap_model(self, detector, scanner, cache) -> None:
         """Swap the served model; runs ON the single scan-executor thread.

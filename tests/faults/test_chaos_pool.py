@@ -7,9 +7,18 @@ is byte-identical to a fault-free scan; and re-scanning skips the poison
 entirely via the journal.
 """
 
+import json
+import os
+import pathlib
+import signal
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import repro
+from repro.core import load_detector, save_detector
 from repro.faults import (
     CAUSE_CRASHED,
     CAUSE_OOM,
@@ -28,6 +37,24 @@ EXIT137 = "/* @repro-fault:exit137 */ var c = 3;"
 RAISE = "/* @repro-fault:raise */ var d = 4;"
 
 LIMITS = ScanLimits(timeout_s=3.0, max_rss_mb=256)
+
+#: Scans stdin's JSON list of sources with two workers and no limits, and
+#: prints what the parent test compares against an in-process scan.
+POOL_DEATH_CHILD = """
+import json, sys
+from repro.core import load_detector
+from repro.pipeline import BatchScanner
+
+with BatchScanner(load_detector(sys.argv[1]), n_workers=2) as scanner:
+    report = scanner.scan(json.load(sys.stdin))
+print(json.dumps({
+    "workers_used": report.workers_used,
+    "statuses": [r.status for r in report.results],
+    "labels": report.label_array.tolist(),
+    "path_counts": [r.path_count for r in report.results],
+    "proba": report.probability_matrix.tobytes().hex(),
+}))
+"""
 
 
 @pytest.fixture(scope="module")
@@ -155,6 +182,37 @@ class TestScannerChaos:
         for clean, isolated in zip(clean_report.results, report.results):
             assert clean.label == isolated.label
             assert clean.probability == isolated.probability
+
+    def test_dying_worker_without_limits_does_not_stall_the_batch(
+        self, detector, split, tmp_path, inject
+    ):
+        # A worker lost mid-script must cost that script an in-process
+        # re-run, not the batch: the scan runs in a child process so a
+        # hang fails this test instead of the suite.
+        sources = list(split.test.sources[:3]) + [EXIT137, RAISE]
+        save_detector(detector, tmp_path / "model")
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(repro.__file__).parents[1]))
+        child = subprocess.Popen(
+            [sys.executable, "-c", POOL_DEATH_CHILD, str(tmp_path / "model")],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True, env=env, start_new_session=True,
+        )
+        try:
+            out, err = child.communicate(json.dumps(sources), timeout=90)
+        except subprocess.TimeoutExpired:
+            os.killpg(child.pid, signal.SIGKILL)
+            child.communicate()
+            pytest.fail("a scan with a dying worker never returned")
+        assert child.returncode == 0, err
+        assert "scanning sequentially" not in err
+        pooled = json.loads(out)
+        assert pooled["workers_used"] == 2
+        assert pooled["statuses"] == ["ok"] * 5
+
+        reference = BatchScanner(load_detector(tmp_path / "model"), n_workers=1).scan(sources)
+        assert pooled["labels"] == reference.label_array.tolist()
+        assert pooled["path_counts"] == [r.path_count for r in reference.results]
+        assert pooled["proba"] == reference.probability_matrix.tobytes().hex()
 
     def test_result_json_round_trip_keeps_fault_fields(self, detector, inject):
         from repro.pipeline import ScanReport

@@ -1,10 +1,13 @@
 """Integration tests for the parallel batch scanner and cache wiring."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
 from repro.core import JSRevealer, JSRevealerConfig
 from repro.datasets import experiment_split
+from repro.faults import ScanLimits
 from repro.ml import (
     BernoulliNB,
     DecisionTreeClassifier,
@@ -33,7 +36,8 @@ def detector(split):
 class TestParallelEquivalence:
     def test_parallel_matches_sequential_bytewise(self, detector, split):
         sequential = BatchScanner(detector, n_workers=1).scan(split.test.sources)
-        parallel = BatchScanner(detector, n_workers=2).scan(split.test.sources)
+        with BatchScanner(detector, n_workers=2) as scanner:
+            parallel = scanner.scan(split.test.sources)
         assert parallel.workers_used == 2
         assert np.array_equal(sequential.label_array, parallel.label_array)
         assert np.array_equal(sequential.probability_matrix, parallel.probability_matrix)
@@ -43,7 +47,7 @@ class TestParallelEquivalence:
         def boom(self, *args, **kwargs):
             raise OSError("no processes for you")
 
-        monkeypatch.setattr(BatchScanner, "_embed_parallel", boom)
+        monkeypatch.setattr(BatchScanner, "_embed_pooled", boom)
         baseline = BatchScanner(detector, n_workers=1).scan(split.test.sources[:4])
         degraded = BatchScanner(detector, n_workers=3).scan(split.test.sources[:4])
         assert degraded.workers_used == 1
@@ -194,7 +198,7 @@ class TestPersistentPool:
     def test_persistent_scanner_reuses_pool_and_matches_oneshot(self, detector, split):
         sources = split.test.sources
         baseline = BatchScanner(detector, n_workers=1).scan(sources)
-        with BatchScanner(detector, n_workers=2, persistent=True) as scanner:
+        with BatchScanner(detector, n_workers=2) as scanner:
             first = scanner.scan(sources)
             pool = scanner._pool
             assert pool is not None  # pool survives between scans
@@ -206,8 +210,16 @@ class TestPersistentPool:
             assert np.array_equal(baseline.label_array, report.label_array)
             assert np.array_equal(baseline.probability_matrix, report.probability_matrix)
 
+    def test_dropped_scanner_stops_its_workers(self, detector, split):
+        before = set(multiprocessing.active_children())
+        scanner = BatchScanner(detector, n_workers=2)
+        scanner.scan(split.test.sources[:4])
+        assert len(set(multiprocessing.active_children()) - before) == 2
+        del scanner
+        assert set(multiprocessing.active_children()) - before == set()
+
     def test_close_is_idempotent_and_safe_without_pool(self, detector):
-        scanner = BatchScanner(detector, n_workers=1, persistent=True)
+        scanner = BatchScanner(detector, n_workers=1)
         scanner.close()
         scanner.close()
 
@@ -230,6 +242,17 @@ class TestDetectorScanAPI:
         strict = detector.scan_batch(sources, threshold=1.1)
         assert strict.n_malicious == 0  # nothing reaches an impossible threshold
         assert np.array_equal(strict.label_array, detector.predict(sources))
+
+    def test_one_shot_scan_batch_stops_its_pool(self, detector, split):
+        # Children from other tests' scanners may still be exiting; only
+        # the workers these calls start must be gone when they return.
+        before = set(multiprocessing.active_children())
+        pooled = detector.scan_batch(split.test.sources[:4], n_workers=2)
+        assert pooled.workers_used == 2
+        assert set(multiprocessing.active_children()) - before == set()
+        isolated = detector.scan_batch(split.test.sources[:4], limits=ScanLimits(timeout_s=30.0))
+        assert [r.status for r in isolated.results] == ["ok"] * 4
+        assert set(multiprocessing.active_children()) - before == set()
 
 
 class TestKeptIndexAlignment:

@@ -66,10 +66,10 @@ class TestTracedScan:
             assert result.trace["spans"][0]["name"] == "script"
 
     def test_parallel_scan_traces_identically_named_stages(self, detector, split):
-        scanner = BatchScanner(detector, n_workers=2, tracer=Tracer(sample_rate=1.0))
-        report = scanner.scan(split.test.sources[:4], trace=True)
+        with BatchScanner(detector, n_workers=2, tracer=Tracer(sample_rate=1.0)) as scanner:
+            report = scanner.scan(split.test.sources[:4], trace=True)
         names = span_names(report.trace["spans"])
-        assert {"scan.batch", "script", "path_extraction", "embedding"} <= names
+        assert {"scan.batch", "script", "path_extraction", "embedding", "worker.embed"} <= names
 
     def test_verdicts_unchanged_by_tracing(self, detector, split):
         sources = split.test.sources[:4]
