@@ -28,8 +28,10 @@ def test_table8_runtime_per_stage(benchmark):
     detector.pretrain(split.pretrain.sources, split.pretrain.labels)
     detector.fit(split.train.sources, split.train.labels)
 
-    # Detection-time timing over the test set.
-    benchmark.pedantic(detector.predict, args=(split.test.sources,), rounds=1, iterations=1)
+    # Detection-time timing over the test set: one batch, so the forest
+    # runs once and ``classifying`` is a single per-batch sample.
+    labels = benchmark.pedantic(detector.predict, args=(split.test.sources,), rounds=1, iterations=1)
+    files_classified = len(labels)
 
     stage_ms = detector.mean_stage_ms()
     print("\nTable VIII — average time per invocation (ms)")
@@ -53,17 +55,29 @@ def test_table8_runtime_per_stage(benchmark):
         measured = stage_ms.get(stage, float("nan"))
         note = paper.get(stage, "-")
         print(f"{stage:22s} {measured:>10.2f}   paper: {note}")
+    print(
+        "(embedding ends at each script's raw cluster row; feature_transform is the"
+        " per-batch stack plus Eq. 6 only; classifying is per batch)"
+    )
 
     sizes = [len(s.encode()) for s in split.test.sources]
     print(f"\nmean script size: {np.mean(sizes) / 1024:.1f} KiB (paper corpus: 62 KB avg)")
 
     # Shape checks mirroring the paper's conclusions:
     # classification is orders of magnitude cheaper than path extraction,
-    assert stage_ms["classifying"] < stage_ms["path_extraction"]
+    # compared per file: path extraction runs once per file, the forest
+    # once per batch.
+    classify_per_file_ms = 1000.0 * detector.stage_seconds["classifying"] / files_classified
+    extract_per_file_ms = stage_ms["path_extraction"]
+    print(
+        f"\nper file: classifying {classify_per_file_ms:.3f} ms "
+        f"({files_classified} files in one batch), path_extraction {extract_per_file_ms:.2f} ms"
+    )
+    assert classify_per_file_ms < extract_per_file_ms
     # feature extraction (fit-time) is the heavyweight one-off stage,
     assert stage_ms["feature_extraction"] > stage_ms["classifying"]
     # and per-file detection cost stays in an interactive range.
-    per_file_detect = stage_ms["path_extraction"] + stage_ms["embedding"] + stage_ms["classifying"]
+    per_file_detect = stage_ms["path_extraction"] + stage_ms["embedding"] + classify_per_file_ms
     print(f"per-file detection cost ≈ {per_file_detect:.1f} ms (paper: 582 ms on 62 KB files)")
     assert per_file_detect < 5000.0
 

@@ -194,9 +194,10 @@ class JSRevealer:
         benign_vectors, benign_sigs = self._pool(embedded, signatures, labels, 0)
         malicious_vectors, malicious_sigs = self._pool(embedded, signatures, labels, 1)
         self._fingerprint = None
+        features = self.feature_extractor
         with self._timed("feature_extraction"):
-            self.feature_extractor.fit(benign_vectors, malicious_vectors, benign_sigs, malicious_sigs)
-            X = self.feature_extractor.transform(embedded, fit_scaler=True)
+            features.fit(benign_vectors, malicious_vectors, benign_sigs, malicious_sigs)
+            X = features.transform([features.transform_script(v, w) for v, w in embedded])
 
         with self._timed("classifier_training"):
             self.classifier.fit(X, labels)
@@ -220,14 +221,13 @@ class JSRevealer:
 
     def features_for(self, sources: list[str]) -> np.ndarray:
         """Normalized cluster-feature matrix for a batch of scripts."""
-        embedded = []
+        rows = []
         for source in sources:
             contexts = self.extract_paths(source)
             with self._timed("embedding"):
-                vectors, weights = self.embed_script(contexts)
-            embedded.append((vectors, weights))
+                rows.append(self.feature_extractor.transform_script(*self.embed_script(contexts)))
         with self._timed("feature_transform"):
-            return self.feature_extractor.transform(embedded, fit_scaler=False)
+            return self.feature_extractor.transform(rows)
 
     def scan(self, source: str, threshold: float = 0.5) -> "ScanResult":
         """Scan one script, returning a structured :class:`ScanResult`."""

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.ml import BisectingKMeans, MinMaxScaler
+from repro.ml import BisectingKMeans
 from repro.outliers import FastABOD, select_detector
 
 
@@ -75,7 +75,6 @@ class FeatureExtractor:
     assignment: str = "soft"
 
     features_: list[ClusterFeature] = field(default_factory=list, init=False)
-    scaler_: MinMaxScaler | None = field(default=None, init=False)
     selected_detector_name_: str = field(default="fast_abod", init=False)
     #: Count of clusters dropped by overlap removal (paper: 0).
     removed_overlaps_: int = field(default=0, init=False)
@@ -100,7 +99,6 @@ class FeatureExtractor:
         self.features_ = self._remove_overlapping(benign_clusters, malicious_clusters)
         if not self.features_:
             raise RuntimeError("all clusters were removed as overlapping; lower overlap_threshold")
-        self.scaler_ = None  # (re)fit lazily on the first training transform
         return self
 
     def _subsample(self, vectors: np.ndarray, signatures: list[str] | None):
@@ -224,18 +222,19 @@ class FeatureExtractor:
         np.add.at(out, nearest[belongs], weights[belongs])
         return out
 
-    def transform(self, scripts: list[tuple[np.ndarray, np.ndarray]], fit_scaler: bool = False) -> np.ndarray:
-        """Feature matrix for many scripts, min–max normalized (Eq. 6).
+    def transform(self, rows: list[np.ndarray]) -> np.ndarray:
+        """Feature matrix from raw per-script rows, min–max normalized (Eq. 6).
 
+        Each row is one script's :meth:`transform_script` output.
         Normalization is *per script*: Eq. 6 rescales each feature vector V
         by its own min(V)/max(V), so every script's vector spans [0, 1]
         regardless of how much total attention weight survived cluster
-        assignment.  (``fit_scaler`` is accepted for API stability; the
-        per-script form needs no fitted state.)
+        assignment.  No state is fitted, so a raw row can be computed (and
+        cached) long before the batch it is classified in.
         """
-        if not scripts:
+        if not rows:
             return np.zeros((0, self.n_features))
-        raw = np.vstack([self.transform_script(v, w) for v, w in scripts])
+        raw = np.vstack(rows)
         lo = raw.min(axis=1, keepdims=True)
         hi = raw.max(axis=1, keepdims=True)
         span = np.where(hi - lo > 0, hi - lo, 1.0)

@@ -30,10 +30,13 @@ import signal
 import time
 import weakref
 from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 from .inject import InjectedFault, maybe_inject
 from .limits import ScanLimits, apply_rlimits, read_rusage
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 CAUSE_TIMEOUT = "timeout"
 CAUSE_OOM = "oom"
@@ -68,7 +71,7 @@ class Outcome:
     index: int
     kind: str
     ok: bool
-    payload: Any = None  # embed: (vectors, weights, path_count, ms, ms, status, top_paths)
+    payload: Any = None  # embed: an EmbedPayload; analyze: an AnalysisReport dict
     cause: str | None = None  # FAULT_CAUSES member when not ok
     detail: str | None = None
     rusage: dict | None = None
@@ -79,11 +82,22 @@ class Outcome:
     spans: list[dict] | None = None
 
 
+class EmbedPayload(NamedTuple):
+    """One script's per-script prefix, as :func:`_run_embed` returns it."""
+
+    row: "np.ndarray"  # (n_features,) raw cluster row: Sec. III-D before Eq. 6
+    path_count: int  # contexts extracted before the per-script cap
+    extract_ms: float
+    embed_ms: float  # embedding, the path cap and the cluster row
+    status: str  # "ok" | "parse_error"
+    top_paths: list[dict] | None  # attention provenance, when traced
+
+
 # ----------------------------------------------------------------- worker side
 
 
 def build_embed_init(detector) -> dict:
-    """Freeze a fitted detector's per-script pipeline config for workers."""
+    """Freeze a fitted detector's per-script pipeline for workers."""
     import numpy as np
 
     config = detector.config
@@ -99,11 +113,12 @@ def build_embed_init(detector) -> dict:
             for name, tensor in detector.embedder.model.parameters().items()
         },
         "max_paths": config.max_paths_per_script,
+        "feature_extractor": detector.feature_extractor,
     }
 
 
 def _build_embed_state(init: dict) -> dict:
-    """A worker's private extractor and capped embed, rebuilt from ``init``."""
+    """A worker's private extractor, capped embed and cluster features."""
     from functools import partial
 
     from repro.core.detector import embed_capped
@@ -116,17 +131,26 @@ def _build_embed_state(init: dict) -> dict:
     return {
         "extractor": PathExtractor(**init["extractor_kwargs"]),
         "embed_script": partial(embed_capped, embedder, max_paths=init["max_paths"]),
+        "feature_extractor": init["feature_extractor"],
     }
 
 
-def _run_embed(state: dict, source: str, capture_paths: bool = False) -> tuple:
-    """Extract + embed one script: the per-script prefix of detection.
+def _run_embed(state: dict, source: str, capture_paths: bool = False) -> EmbedPayload:
+    """Extract, embed and aggregate one script: the per-script prefix of detection.
 
-    ``state`` holds an ``extractor`` and an ``embed_script`` with the
-    signature of :meth:`~repro.core.detector.JSRevealer.embed_script`.
-    Pool workers pass their private copies (:func:`_build_embed_state`);
+    The prefix ends at the script's raw cluster row
+    (:meth:`~repro.core.features.FeatureExtractor.transform_script`):
+    Eq. 6 normalizes each row by its own min and max, so the row is all
+    the classifier needs, and the kept path vectors and weights are
+    dropped here instead of being cached or piped back from a worker.
+    ``embed_ms`` covers the embedding, the path cap and the row.
+
+    ``state`` holds an ``extractor``, an ``embed_script`` with the
+    signature of :meth:`~repro.core.detector.JSRevealer.embed_script` and
+    a fitted ``feature_extractor``.  Pool workers pass their private
+    copies (:func:`_build_embed_state`);
     :class:`~repro.pipeline.BatchScanner` scans in-process by passing the
-    detector's own extractor and ``embed_script``.
+    detector's own extractor, ``embed_script`` and feature extractor.
 
     With ``capture_paths`` the top attention-weighted path signatures ride
     along as provenance (the Table VII evidence for a traced verdict).
@@ -144,15 +168,16 @@ def _run_embed(state: dict, source: str, capture_paths: bool = False) -> tuple:
     extract_ms = 1000.0 * (time.perf_counter() - started)
 
     started = time.perf_counter()
-    top_paths = None
     if capture_paths:
         vectors, weights, kept = state["embed_script"](contexts, return_indices=True)
-        embed_ms = 1000.0 * (time.perf_counter() - started)
-        top_paths = _top_attention_paths([contexts[int(i)] for i in kept], weights)
     else:
         vectors, weights = state["embed_script"](contexts)
-        embed_ms = 1000.0 * (time.perf_counter() - started)
-    return vectors, weights, len(contexts), extract_ms, embed_ms, status, top_paths
+    row = state["feature_extractor"].transform_script(vectors, weights)
+    embed_ms = 1000.0 * (time.perf_counter() - started)
+    top_paths = (
+        _top_attention_paths([contexts[int(i)] for i in kept], weights) if capture_paths else None
+    )
+    return EmbedPayload(row, len(contexts), extract_ms, embed_ms, status, top_paths)
 
 
 def _top_attention_paths(contexts, weights, k: int = 5) -> list[dict]:
@@ -206,13 +231,14 @@ def _worker_spans(traceparent: str | None, kind: str, elapsed_ms: float, payload
     root = span(f"worker.{kind}", ctx.span_id, root_start, elapsed_ms, pid=os.getpid())
     root["span_id"] = root_id
     spans = [root]
-    if kind == "embed" and isinstance(payload, tuple) and len(payload) >= 6:
-        extract_ms, embed_ms, status = payload[3], payload[4], payload[5]
+    if kind == "embed" and isinstance(payload, EmbedPayload):
         spans.append(
-            span("path_extraction", root_id, root_start, extract_ms, status=status)
+            span("path_extraction", root_id, root_start, payload.extract_ms, status=payload.status)
         )
         spans.append(
-            span("embedding", root_id, root_start + extract_ms / 1000.0, embed_ms)
+            span(
+                "embedding", root_id, root_start + payload.extract_ms / 1000.0, payload.embed_ms
+            )
         )
     return spans
 

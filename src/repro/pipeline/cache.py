@@ -1,21 +1,26 @@
-"""Content-addressed cache for embedded path vectors.
+"""Content-addressed cache for each script's raw cluster row.
 
 Path extraction dominates per-file cost (Table VIII: ~570 of ~900 ms), and
 real scanning workloads re-see the same scripts constantly (vendored
-libraries, CDN copies, re-crawls).  Both extraction and embedding are pure
-functions of (source bytes, embedding parameters), so their output is
-cacheable under a content address:
+libraries, CDN copies, re-crawls).  Extraction, embedding and cluster
+aggregation are pure functions of (source bytes, model tensors), so their
+output is cacheable under a content address:
 
 * **key** — SHA-256 of the script source,
 * **namespace** — the detector's *model fingerprint* (hash of its saved
-  tensors), so a cache can never serve embeddings computed by a different
-  or retrained model,
-* **value** — the post-cap ``(vectors, weights)`` pair plus the raw path
-  count.
+  tensors, cluster centers and radii included), so a cache can never serve
+  a row computed by a retrained model.  The row also depends on the
+  ``assignment`` settings, which the fingerprint does not hash: models
+  that differ only there must not share a disk layer,
+* **value** — the script's raw cluster row (Sec. III-D, before Eq. 6's
+  per-script min–max: ``n_features`` floats) plus the raw path count.
+  Eq. 6 needs nothing beyond the row itself, so the post-cap path vectors
+  (up to 300 × d floats) are never kept.
 
 Two layers: a bounded in-memory LRU (always on) and an optional on-disk
-layer under ``cache_dir/<fingerprint>/`` that survives across processes —
-the second CLI run over the same corpus skips extraction entirely.
+layer under ``cache_dir/v<CACHE_FORMAT_VERSION>/<fingerprint>/`` that
+survives across processes — the second CLI run over the same corpus skips
+extraction entirely.
 """
 
 from __future__ import annotations
@@ -41,30 +46,33 @@ def content_key(source: str) -> str:
     return hashlib.sha256(source.encode("utf-8", errors="replace")).hexdigest()
 
 
-#: On-disk archive layout version.  Stored inside every ``.npz``; a file
-#: carrying any other version (or none) is treated as corrupt — miss,
-#: counted, removed — rather than deserialized on faith.
-CACHE_FORMAT_VERSION = 1
+#: On-disk archive layout version.  It names the disk root
+#: (``cache_dir/v2/``), so files of another version are never opened and
+#: processes of two versions can share one ``cache_dir`` without deleting
+#: each other's entries.  It is also stored inside every ``.npz``; a file
+#: under this root carrying any other version (or none) is treated as
+#: corrupt — miss, counted, removed — rather than deserialized on faith.
+CACHE_FORMAT_VERSION = 2
 
 
 @dataclass
 class CacheEntry:
-    """Embedded paths for one script: the per-script pipeline prefix."""
+    """One script's per-script pipeline prefix: its raw cluster row."""
 
-    vectors: np.ndarray  # (n_kept, embed_dim) FC-layer outputs
-    weights: np.ndarray  # (n_kept,) attention weights
+    row: np.ndarray  # (n_features,) cluster row before Eq. 6's min–max
     path_count: int  # contexts extracted before the per-script cap
 
 
 class FeatureCache:
-    """Two-layer (memory LRU + optional disk) embedding cache.
+    """Two-layer (memory LRU + optional disk) cluster-row cache.
 
     Args:
         model_fingerprint: Namespace key; entries written under one
             fingerprint are invisible to every other (stale-model safety).
         max_entries: In-memory LRU capacity.
         cache_dir: Optional persistent layer root.  Layout is
-            ``cache_dir/<fingerprint16>/<content_key>.npz``.
+            ``cache_dir/v2/<fingerprint16>/<content_key>.npz``, ``v2``
+            being :data:`CACHE_FORMAT_VERSION`.
         metrics: Optional :class:`~repro.obs.MetricsRegistry`; when given,
             lookups and LRU evictions are mirrored into
             ``repro_cache_lookups_total{result=hit|miss}`` and
@@ -87,7 +95,9 @@ class FeatureCache:
         if cache_dir is not None:
             # First 16 hex chars keep directory names short; collisions over
             # 64 bits of a cryptographic hash are not a practical concern.
-            self._disk_root = Path(cache_dir) / model_fingerprint[:16]
+            self._disk_root = (
+                Path(cache_dir) / f"v{CACHE_FORMAT_VERSION}" / model_fingerprint[:16]
+            )
             self._disk_root.mkdir(parents=True, exist_ok=True)
         self.hits = 0
         self.misses = 0
@@ -182,11 +192,10 @@ class FeatureCache:
                 if int(arrays["format_version"]) != CACHE_FORMAT_VERSION:
                     raise ValueError("cache format version mismatch")
                 entry = CacheEntry(
-                    vectors=np.asarray(arrays["vectors"], dtype=np.float64),
-                    weights=np.asarray(arrays["weights"], dtype=np.float64),
+                    row=np.asarray(arrays["row"], dtype=np.float64),
                     path_count=int(arrays["path_count"]),
                 )
-            if entry.vectors.ndim != 2 or entry.weights.shape != (len(entry.vectors),):
+            if entry.row.ndim != 1:
                 raise ValueError("cache entry shape mismatch")
             return entry
         except Exception:
@@ -216,8 +225,7 @@ class FeatureCache:
             with os.fdopen(fd, "wb") as handle:
                 np.savez_compressed(
                     handle,
-                    vectors=entry.vectors,
-                    weights=entry.weights,
+                    row=entry.row,
                     path_count=np.int64(entry.path_count),
                     format_version=np.int64(CACHE_FORMAT_VERSION),
                 )

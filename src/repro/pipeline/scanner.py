@@ -1,19 +1,22 @@
 """Batch-scanning engine.
 
-Per-script work (parse → enhanced AST → path contexts → embedding and
-the 300-path cap) is CPU-bound and embarrassingly parallel, and Table
-VIII shows it dominates detection cost; the shared stages
-(cluster-feature transform, forest classification) are sub-millisecond
+Per-script work (parse → enhanced AST → path contexts → embedding, the
+300-path cap and the raw cluster row) is CPU-bound and embarrassingly
+parallel, and Table VIII shows it dominates detection cost; the shared
+stages (Eq. 6 normalization, forest classification) are sub-millisecond
 and stay in-process.  The scanner therefore:
 
 1. consults the content-addressed :class:`~repro.pipeline.cache.FeatureCache`
-   (embeddings are pure functions of source bytes + model parameters),
+   (a script's raw cluster row is a pure function of source bytes + model
+   parameters),
 2. runs every cache miss through one per-script function,
-   :func:`~repro.faults.workers._run_embed`: in-process on the detector's
-   own extractor and embedder, or in an :class:`~repro.faults.IsolatedPool`
-   whose workers hold a private copy of both,
-3. feeds the collected embeddings through the single-process feature
-   transform + classifier and returns a structured
+   :func:`~repro.faults.workers._run_embed`, which ends at that raw row:
+   in-process on the detector's own extractor, embedder and feature
+   extractor, or in an :class:`~repro.faults.IsolatedPool` whose workers
+   hold a private copy of all three,
+3. stacks the batch's rows, min–max normalizes each by its own range
+   (Eq. 6, :meth:`~repro.core.features.FeatureExtractor.transform`), runs
+   the classifier once, and returns a structured
    :class:`~repro.pipeline.results.ScanReport`.
 
 The pool starts with the first scan that needs it (``n_workers > 1`` and
@@ -51,7 +54,7 @@ from repro.faults import (
     Task,
     build_embed_init,
 )
-from repro.faults.workers import _run_embed
+from repro.faults.workers import EmbedPayload, _run_embed
 from repro.ml import DecisionTreeClassifier, RandomForestClassifier
 from repro.obs.trace import SpanContext, new_span_id, trace_spans
 
@@ -93,7 +96,7 @@ class BatchScanner:
             once.  Call :meth:`close` (or use the scanner as a context
             manager) when done; a broken pool is discarded and rebuilt
             lazily.
-        cache: Optional content-addressed embedding cache.  Callers are
+        cache: Optional content-addressed cluster-row cache.  Callers are
             responsible for keying it to ``detector.fingerprint()`` —
             :meth:`JSRevealer.scan_batch` does this automatically.
         metrics: Optional :class:`~repro.obs.MetricsRegistry`; when given,
@@ -424,14 +427,18 @@ class BatchScanner:
                     f"warning: worker pool failed ({error!r}); scanning sequentially",
                     file=sys.stderr,
                 )
-        embed_state = {"extractor": detector.extractor, "embed_script": detector.embed_script}
+        embed_state = {
+            "extractor": detector.extractor,
+            "embed_script": detector.embed_script,
+            "feature_extractor": detector.feature_extractor,
+        }
         for i in pending:  # in-process path + pool backstop
             if entries[i] is None and statuses[i] not in FAULT_CAUSES:
                 payload = _run_embed(embed_state, sources[i], recording)
                 self._settle(i, payload, entries, statuses, per_file_ms, top_paths)
         if self.cache is not None:
             for i in pending:
-                # Only clean embeddings are cached: a parse_error entry would
+                # Only clean rows are cached: a parse_error entry would
                 # come back from the cache without its status, and faulted
                 # scripts never produced one.
                 if entries[i] is not None and statuses[i] == STATUS_OK:
@@ -465,10 +472,10 @@ class BatchScanner:
                 analyses[i] = analyses[primary]
 
         active = [i for i in range(n) if not triaged[i] and entries[i] is not None]
-        embedded = [(entries[i].vectors, entries[i].weights) for i in active]
+        rows = [entries[i].row for i in active]
         transform_started = time.perf_counter()
         with detector._timed("feature_transform"):
-            X = detector.feature_extractor.transform(embedded, fit_scaler=False)
+            X = detector.feature_extractor.transform(rows)
         transform_ms = 1000.0 * (time.perf_counter() - transform_started)
 
         classify_started = time.perf_counter()
@@ -759,25 +766,24 @@ class BatchScanner:
     def _settle(
         self,
         i: int,
-        payload: tuple,
+        payload: EmbedPayload,
         entries: list[CacheEntry | None],
         statuses: list[str],
         per_file_ms: list[dict[str, float]],
         top_paths: list[list | None],
     ) -> None:
         """Land one :func:`_run_embed` result, pooled or in-process."""
-        vectors, weights, path_count, extract_ms, embed_ms, status, paths = payload
-        entries[i] = CacheEntry(vectors=vectors, weights=weights, path_count=path_count)
-        statuses[i] = status
-        per_file_ms[i]["path_extraction"] = extract_ms
-        per_file_ms[i]["embedding"] = embed_ms
-        top_paths[i] = paths
+        entries[i] = CacheEntry(row=payload.row, path_count=payload.path_count)
+        statuses[i] = payload.status
+        per_file_ms[i]["path_extraction"] = payload.extract_ms
+        per_file_ms[i]["embedding"] = payload.embed_ms
+        top_paths[i] = payload.top_paths
         # Worker CPU time lands in the detector's Table VIII accounting too,
         # even though wall-clock overlaps under the pool.
         detector = self.detector
-        detector.stage_seconds["path_extraction"] += extract_ms / 1000.0
+        detector.stage_seconds["path_extraction"] += payload.extract_ms / 1000.0
         detector.stage_counts["path_extraction"] += 1
-        detector.stage_seconds["embedding"] += embed_ms / 1000.0
+        detector.stage_seconds["embedding"] += payload.embed_ms / 1000.0
         detector.stage_counts["embedding"] += 1
 
     def _embed_pooled(

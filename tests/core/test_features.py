@@ -145,7 +145,7 @@ class TestTransform:
             (malicious[:5], np.full(5, 0.2)),
             (np.vstack([benign[:2], malicious[:2]]), np.full(4, 0.25)),
         ]
-        X = fx.transform(scripts, fit_scaler=True)
+        X = fx.transform([fx.transform_script(v, w) for v, w in scripts])
         assert X.shape == (3, fx.n_features)
         assert X.min() >= 0.0 and X.max() <= 1.0
         # Eq. 6 normalizes per script: every non-constant row spans [0, 1].

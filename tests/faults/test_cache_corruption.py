@@ -18,15 +18,11 @@ def make_cache(tmp_path, metrics=None):
 
 
 def entry():
-    return CacheEntry(
-        vectors=np.arange(12, dtype=np.float64).reshape(3, 4),
-        weights=np.array([0.5, 0.3, 0.2]),
-        path_count=3,
-    )
+    return CacheEntry(row=np.array([0.5, 0.3, 0.2, 0.0]), path_count=3)
 
 
 def stored_path(tmp_path, key):
-    [path] = list((tmp_path / ("f" * 16)).glob(f"{key}.npz"))
+    [path] = list((tmp_path / f"v{CACHE_FORMAT_VERSION}" / ("f" * 16)).glob(f"{key}.npz"))
     return path
 
 
@@ -46,7 +42,7 @@ class TestDiskCorruption:
         self.put_one(tmp_path)
         got = self.fresh_reader(tmp_path).get(self.KEY)
         assert got is not None
-        assert np.array_equal(got.vectors, entry().vectors)
+        assert np.array_equal(got.row, entry().row)
         assert got.path_count == 3
 
     def test_bit_flip_is_a_counted_miss_and_file_is_removed(self, tmp_path):
@@ -84,8 +80,7 @@ class TestDiskCorruption:
         with path.open("wb") as handle:
             np.savez_compressed(
                 handle,
-                vectors=e.vectors,
-                weights=e.weights,
+                row=e.row,
                 path_count=np.int64(e.path_count),
                 format_version=np.int64(CACHE_FORMAT_VERSION + 1),
             )
@@ -99,9 +94,7 @@ class TestDiskCorruption:
         path = self.put_one(tmp_path)
         e = entry()
         with path.open("wb") as handle:
-            np.savez_compressed(
-                handle, vectors=e.vectors, weights=e.weights, path_count=np.int64(e.path_count)
-            )
+            np.savez_compressed(handle, row=e.row, path_count=np.int64(e.path_count))
         cache = self.fresh_reader(tmp_path)
         assert cache.get(self.KEY) is None
         assert cache.stats()["corrupt"] == 1
@@ -111,14 +104,35 @@ class TestDiskCorruption:
         with path.open("wb") as handle:
             np.savez_compressed(
                 handle,
-                vectors=np.zeros((3, 4)),
-                weights=np.zeros(7),  # weights disagree with vectors
+                row=np.zeros((3, 4)),  # a row is one-dimensional
                 path_count=np.int64(3),
                 format_version=np.int64(CACHE_FORMAT_VERSION),
             )
         cache = self.fresh_reader(tmp_path)
         assert cache.get(self.KEY) is None
         assert cache.stats()["corrupt"] == 1
+
+    def test_version_one_archive_is_a_plain_miss_left_in_place(self, tmp_path):
+        # A version-1 shard sharing this cache_dir wrote (vectors, weights)
+        # archives directly under <fp16>/.  They sit outside the versioned
+        # root, so they are never opened: not corrupt, and not unlinked.
+        old = tmp_path / ("f" * 16) / f"{self.KEY}.npz"
+        old.parent.mkdir(parents=True)
+        with old.open("wb") as handle:
+            np.savez_compressed(
+                handle,
+                vectors=np.arange(12, dtype=np.float64).reshape(3, 4),
+                weights=np.array([0.5, 0.3, 0.2]),
+                path_count=np.int64(3),
+                format_version=np.int64(1),
+            )
+        metrics = MetricsRegistry()
+        cache = make_cache(tmp_path, metrics=metrics)
+        assert cache.get(self.KEY) is None
+        assert cache.stats()["corrupt"] == 0
+        assert cache.stats()["misses"] == 1
+        assert old.exists()
+        assert "repro_cache_corrupt_total 0" in metrics.render()
 
     def test_slot_heals_after_corruption(self, tmp_path):
         path = self.put_one(tmp_path)

@@ -1,4 +1,4 @@
-"""Unit tests for the content-addressed embedding cache."""
+"""Unit tests for the content-addressed cluster-row cache."""
 
 import numpy as np
 import pytest
@@ -6,9 +6,9 @@ import pytest
 from repro.pipeline import CacheEntry, FeatureCache, content_key
 
 
-def make_entry(seed=0, n=4, dim=8):
+def make_entry(seed=0, n=4, n_features=8):
     rng = np.random.default_rng(seed)
-    return CacheEntry(vectors=rng.normal(size=(n, dim)), weights=rng.random(n), path_count=n + 3)
+    return CacheEntry(row=rng.random(n_features), path_count=n + 3)
 
 
 class TestContentKey:
@@ -59,8 +59,7 @@ class TestDiskLayer:
         fresh = FeatureCache("fp", cache_dir=tmp_path)
         restored = fresh.get(key)
         assert restored is not None
-        assert np.array_equal(restored.vectors, entry.vectors)
-        assert np.array_equal(restored.weights, entry.weights)
+        assert restored.row.tobytes() == entry.row.tobytes()
         assert restored.path_count == entry.path_count
         assert fresh.disk_hits == 1
 
@@ -74,7 +73,7 @@ class TestDiskLayer:
         cache = FeatureCache("fp", cache_dir=tmp_path)
         key = content_key("script")
         cache.put(key, make_entry())
-        path = next((tmp_path / "fp").glob("*.npz"))
+        path = next((tmp_path / "v2" / "fp").glob("*.npz"))
         path.write_bytes(b"not an npz archive")
 
         fresh = FeatureCache("fp", cache_dir=tmp_path)

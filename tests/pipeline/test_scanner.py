@@ -1,13 +1,15 @@
 """Integration tests for the parallel batch scanner and cache wiring."""
 
 import multiprocessing
+import pickle
 
 import numpy as np
 import pytest
 
 from repro.core import JSRevealer, JSRevealerConfig
 from repro.datasets import experiment_split
-from repro.faults import ScanLimits
+from repro.faults import ScanLimits, build_embed_init
+from repro.faults.workers import _build_embed_state, _run_embed
 from repro.ml import (
     BernoulliNB,
     DecisionTreeClassifier,
@@ -17,7 +19,7 @@ from repro.ml import (
     RandomForestClassifier,
 )
 from repro.obs import MetricsRegistry
-from repro.pipeline import BatchScanner, FeatureCache
+from repro.pipeline import BatchScanner, FeatureCache, content_key
 
 
 @pytest.fixture(scope="module")
@@ -90,11 +92,29 @@ class TestCacheIntegration:
 
     def test_disk_cache_reused_by_fresh_scanner(self, detector, split, tmp_path):
         sources = split.test.sources[:5]
-        cold = detector.scan_batch(sources, cache_dir=str(tmp_path))
-        warm = detector.scan_batch(sources, cache_dir=str(tmp_path))
-        assert cold.cache_hits == 0
-        assert warm.cache_hits == len(sources)
-        assert np.array_equal(cold.label_array, warm.label_array)
+        uncached = detector.scan_batch(sources).probability_matrix.tobytes()
+        for n_workers in (1, 2):
+            cache_dir = str(tmp_path / f"workers-{n_workers}")
+            cold = detector.scan_batch(sources, n_workers=n_workers, cache_dir=cache_dir)
+            warm = detector.scan_batch(sources, n_workers=n_workers, cache_dir=cache_dir)
+            assert cold.cache_hits == 0
+            assert warm.cache_hits == len(sources)
+            assert np.array_equal(cold.label_array, warm.label_array)
+            assert cold.probability_matrix.tobytes() == uncached
+            assert warm.probability_matrix.tobytes() == uncached
+
+    def test_cache_and_pool_replies_carry_only_the_cluster_row(self, detector, split):
+        sources = split.test.sources[:4]
+        cache = FeatureCache(detector.fingerprint())
+        report = BatchScanner(detector, cache=cache).scan(sources)
+        assert all(r.path_count > detector.config.max_paths_per_script for r in report.results)
+        n_features = detector.feature_extractor.n_features
+        for source in sources:
+            assert cache.get(content_key(source)).row.shape == (n_features,)
+        # What a pool worker pipes back for one script: the row, not the
+        # 300 kept path vectors and their weights.
+        state = _build_embed_state(build_embed_init(detector))
+        assert len(pickle.dumps(_run_embed(state, sources[0]))) < 4096
 
     def test_report_carries_fingerprint(self, detector, split):
         report = detector.scan_batch(split.test.sources[:2])
@@ -134,8 +154,12 @@ class TestClassifyStep:
         candidate.fit(split.train.sources, split.train.labels)
         sources = split.test.sources
         report = BatchScanner(candidate).scan(sources)
-        embedded = [candidate.embed_script(candidate.extract_paths(s)) for s in sources]
-        X = candidate.feature_extractor.transform(embedded, fit_scaler=False)
+        features = candidate.feature_extractor
+        rows = [
+            features.transform_script(*candidate.embed_script(candidate.extract_paths(s)))
+            for s in sources
+        ]
+        X = features.transform(rows)
         assert np.array_equal(report.label_array, candidate.classifier.predict(X))
         proba = candidate.classifier.predict_proba(X)
         assert report.probability_matrix.tobytes() == proba.tobytes()

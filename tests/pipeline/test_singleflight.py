@@ -19,13 +19,11 @@ from repro.obs import MetricsRegistry
 from repro.pipeline import BatchScanner, FeatureCache, content_key
 
 
-def make_entry(seed=0, n=4, dim=8):
+def make_entry(seed=0, n=4, n_features=8):
     rng = np.random.default_rng(seed)
     from repro.pipeline.cache import CacheEntry
 
-    return CacheEntry(
-        vectors=rng.normal(size=(n, dim)), weights=rng.random(n), path_count=n
-    )
+    return CacheEntry(row=rng.random(n_features), path_count=n)
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +53,7 @@ class TestFlightProtocol:
         cache_a.release_flight(key)
         waited = cache_b.wait_flight(key, timeout_s=5.0)
         assert waited is not None
-        assert np.array_equal(waited.vectors, entry.vectors)
+        assert np.array_equal(waited.row, entry.row)
         # The follower's wait promoted the entry into its memory layer.
         assert cache_b.get(key) is not None
 
@@ -76,7 +74,7 @@ class TestFlightProtocol:
         thread.start()
         waited = cache_b.wait_flight(key, timeout_s=5.0)
         thread.join()
-        assert waited is not None and np.array_equal(waited.weights, entry.weights)
+        assert waited is not None and np.array_equal(waited.row, entry.row)
 
     def test_leader_failure_releases_followers(self, tmp_path):
         cache_a = FeatureCache("fp", cache_dir=tmp_path)

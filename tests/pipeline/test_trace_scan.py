@@ -70,6 +70,16 @@ class TestTracedScan:
             report = scanner.scan(split.test.sources[:4], trace=True)
         names = span_names(report.trace["spans"])
         assert {"scan.batch", "script", "path_extraction", "embedding", "worker.embed"} <= names
+        # The worker builds these children from its embed payload's fields;
+        # a stale positional read would hand them another field's value.
+        for result in report.results:
+            [script] = result.trace["spans"]
+            [worker] = [span for span in script["children"] if span["name"] == "worker.embed"]
+            children = {span["name"]: span for span in worker["children"]}
+            assert set(children) == {"path_extraction", "embedding"}
+            assert children["path_extraction"]["attributes"]["status"] == result.status
+            for stage in ("path_extraction", "embedding"):
+                assert children[stage]["duration_ms"] == result.stage_ms[stage]
 
     def test_verdicts_unchanged_by_tracing(self, detector, split):
         sources = split.test.sources[:4]
