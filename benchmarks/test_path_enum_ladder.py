@@ -1,4 +1,4 @@
-"""Path-enumeration ladder: LCA enumeration and the indexed featurizer
+"""Path-enumeration ladder: the path table and its column featurizer
 against their all-pairs and per-path oracles at 1, 8 and 32 KiB.
 
 Not a paper table: the paper's Table VIII puts path extraction at ≈570 of
@@ -73,7 +73,7 @@ def measure_rung(kib: int, detector, reps: int) -> dict:
     expected_features, oracle_featurize_ms = timed(oracle.featurize_per_path, expected)
     paths = extractor.extract(enhanced)
     features = featurizer.transform(paths)
-    identical = paths == expected and features.tobytes() == expected_features.tobytes()
+    identical = list(paths) == expected and features.tobytes() == expected_features.tobytes()
 
     enum_ms = best_ms(extractor.extract, enhanced, reps=reps)
     featurize_ms = best_ms(featurizer.transform, paths, reps=reps)

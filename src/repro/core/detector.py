@@ -24,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import time
 from collections import defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -43,7 +44,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 def embed_capped(
     embedder: PathEmbedder,
-    contexts: list[PathContext],
+    contexts: Sequence[PathContext],
     max_paths: int,
     return_indices: bool = False,
 ) -> tuple[np.ndarray, np.ndarray] | tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -132,11 +133,12 @@ class JSRevealer:
 
         return _Timer()
 
-    def extract_paths(self, source: str) -> list[PathContext]:
+    def extract_paths(self, source: str) -> Sequence[PathContext]:
         """Stage 1: parse + enhanced AST + bounded path contexts.
 
-        Unparseable sources yield no paths (real corpora contain fragments;
-        the paper's tooling skips them the same way).
+        Returns a :class:`~repro.paths.PathTable`.  Unparseable sources
+        yield no paths (real corpora contain fragments; the paper's tooling
+        skips them the same way).
         """
         with self._timed("path_extraction"):
             try:
@@ -145,7 +147,7 @@ class JSRevealer:
                 return []
 
     def embed_script(
-        self, contexts: list[PathContext], return_indices: bool = False
+        self, contexts: Sequence[PathContext], return_indices: bool = False
     ) -> tuple[np.ndarray, np.ndarray] | tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Stage 2: FC-layer path vectors + attention weights.
 
@@ -188,7 +190,7 @@ class JSRevealer:
             embedded.append((vectors, weights))
             # Signatures follow the kept-index array so that when the path
             # cap drops low-weight rows, each signature still names the path
-            # its vector came from.
+            # its vector came from; only the kept contexts are built.
             signatures.append([contexts[int(j)].signature() for j in kept])
 
         benign_vectors, benign_sigs = self._pool(embedded, signatures, labels, 0)

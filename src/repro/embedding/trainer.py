@@ -8,6 +8,7 @@ weights are read.  ``PathEmbedder`` packages that protocol.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,7 +60,7 @@ class PathEmbedder:
 
     # ------------------------------------------------------------- training
 
-    def fit(self, scripts: list[list[PathContext]], labels) -> "PathEmbedder":
+    def fit(self, scripts: Sequence[Sequence[PathContext]], labels) -> "PathEmbedder":
         """Pre-train on labeled scripts (label 1 = malicious)."""
         labels = np.asarray(labels, dtype=int)
         if len(scripts) != len(labels):
@@ -92,7 +93,7 @@ class PathEmbedder:
 
     # -------------------------------------------------------------- serving
 
-    def embed(self, contexts: list[PathContext]) -> tuple[np.ndarray, np.ndarray]:
+    def embed(self, contexts: Sequence[PathContext]) -> tuple[np.ndarray, np.ndarray]:
         """(path vectors, attention weights) for one script.
 
         Scripts with zero paths return empty arrays — callers treat them as

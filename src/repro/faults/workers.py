@@ -174,22 +174,24 @@ def _run_embed(state: dict, source: str, capture_paths: bool = False) -> EmbedPa
         vectors, weights = state["embed_script"](contexts)
     row = state["feature_extractor"].transform_script(vectors, weights)
     embed_ms = 1000.0 * (time.perf_counter() - started)
-    top_paths = (
-        _top_attention_paths([contexts[int(i)] for i in kept], weights) if capture_paths else None
-    )
+    top_paths = _top_attention_paths(contexts, kept, weights) if capture_paths else None
     return EmbedPayload(row, len(contexts), extract_ms, embed_ms, status, top_paths)
 
 
-def _top_attention_paths(contexts, weights, k: int = 5) -> list[dict]:
-    """The ``k`` highest-attention path contexts as JSON-ready provenance."""
+def _top_attention_paths(contexts, kept, weights, k: int = 5) -> list[dict]:
+    """The ``k`` highest-attention kept paths as JSON-ready provenance.
+
+    ``weights[r]`` belongs to path ``kept[r]`` of ``contexts``; only the
+    ``k`` reported contexts are built.
+    """
     import numpy as np
 
-    if len(contexts) == 0 or len(weights) == 0 or len(contexts) != len(weights):
+    if len(kept) == 0 or len(kept) != len(weights):
         return []
     order = np.argsort(np.asarray(weights, dtype=float))[::-1][:k]
     return [
-        {"path": contexts[int(i)].signature(), "weight": round(float(weights[int(i)]), 6)}
-        for i in order
+        {"path": contexts[int(kept[r])].signature(), "weight": round(float(weights[int(r)]), 6)}
+        for r in order
     ]
 
 

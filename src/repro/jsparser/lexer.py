@@ -47,6 +47,9 @@ def _is_ascii_digit(ch: str) -> bool:
 
 #: Tokens after which a ``/`` must be a division sign, not a regex start.
 _REGEX_FORBIDDEN_PUNCTUATORS = frozenset({")", "]", "}", "++", "--"})
+#: Punctuators are matched by set lookup of the next 4, 3, 2 and 1 characters.
+_PUNCTUATOR_SET = frozenset(PUNCTUATORS)
+_LONGEST_PUNCTUATOR = max(map(len, PUNCTUATORS))
 #: Keywords after which ``/`` *does* start a regex (e.g. ``return /x/``).
 _REGEX_ALLOWED_KEYWORDS = frozenset(
     {
@@ -382,9 +385,12 @@ class Lexer:
         return self._make_token(TokenType.REGEXP, self.source[start : self.index], start, line, column)
 
     def _lex_punctuator(self, start: int, line: int, column: int) -> Token:
-        rest = self.source[self.index : self.index + 4]
-        for punct in PUNCTUATORS:
-            if rest.startswith(punct):
+        # Longest match first.  Near the end of the input a slice can be
+        # shorter than its nominal size, so advance by what matched.
+        rest = self.source[self.index : self.index + _LONGEST_PUNCTUATOR]
+        for size in range(len(rest), 0, -1):
+            punct = rest[:size]
+            if punct in _PUNCTUATOR_SET:
                 self.index += len(punct)
                 return self._make_token(TokenType.PUNCTUATOR, punct, start, line, column)
         raise self._error(f"Unexpected character {self.source[self.index]!r}")

@@ -1,4 +1,4 @@
-"""Path extraction: bounded AST path contexts + deterministic featurizer."""
+"""Path extraction: bounded AST path contexts as a columnar table + deterministic featurizer."""
 
 from .extraction import (
     DEFAULT_MAX_LENGTH,
@@ -6,6 +6,7 @@ from .extraction import (
     ExtractionError,
     PathContext,
     PathExtractor,
+    PathTable,
     extract_paths,
 )
 from .featurizer import FEATURE_DIM, NODE_TYPES, VALUE_BUCKETS, PathFeaturizer
@@ -16,6 +17,7 @@ __all__ = [
     "ExtractionError",
     "PathContext",
     "PathExtractor",
+    "PathTable",
     "extract_paths",
     "FEATURE_DIM",
     "NODE_TYPES",

@@ -1,15 +1,22 @@
 """Reference implementations the ``paths`` layer is tested against.
 
-These are the straightforward versions the production code replaced:
+These are the straightforward per-path versions the production code
+replaced, each the reference for one production function:
 
 * :func:`extract_all_pairs` tests every leaf pair ``(i, j)``, ``i < j``,
   finds their lowest common ancestor from the two root ancestries and
   keeps the path when it fits the width and length bounds; it computes
-  both endpoint values of every kept path.
-* :func:`featurize_per_path` builds one vector per path and stacks them.
+  both endpoint values of every kept path.  It returns a list of
+  ``PathContext`` objects, which ``PathExtractor.extract``'s table must
+  equal once listed (``list(table)`` builds each context on demand).
+* :func:`featurize_per_path` builds one vector per path context and
+  stacks them: the reference for ``PathFeaturizer.transform``, which has
+  no per-path loop and reads a ``PathTable``'s columns instead (hand-made
+  contexts are laid out as a table first).
 * :func:`binding_for_name_slot` scans every scope of the program for the
   binding a declaration-name identifier declares; the oracle's leaf
-  values resolve name slots this way (:func:`scope_scan`).
+  values resolve name slots this way (:func:`scope_scan`).  It is the
+  reference for the declaration-site index of ``EnhancedAST.leaf_value``.
 
 They are slow (quadratic in the number of leaves, or in the number of
 scopes) and exist only so tests and the ladder bench can demand exact

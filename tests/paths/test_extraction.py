@@ -34,7 +34,7 @@ class TestBasicExtraction:
         assert len(paths) <= 3
 
     def test_no_leaves_no_paths(self):
-        assert extract_paths(";") == []
+        assert list(extract_paths(";")) == []
 
     def test_endpoints_and_spine(self):
         (path,) = [p for p in extract_paths("var a = 1;") if p.nodes[0] == "Identifier"]
@@ -151,7 +151,7 @@ def test_extraction_invariants(statements):
         assert 3 <= p.length <= 12
         assert 0 < p.arrow_index < p.length
         assert p.source_value and p.target_value
-    assert paths == oracle.extract_all_pairs(build_enhanced_ast(parse(src)))
+    assert list(paths) == oracle.extract_all_pairs(build_enhanced_ast(parse(src)))
 
 
 class TestAgainstOracle:
@@ -166,7 +166,7 @@ class TestAgainstOracle:
         max_length, max_width = bounds
         expected = oracle.extract_all_pairs(enhanced, max_length, max_width)
         paths = PathExtractor(max_length, max_width, use_dataflow).extract(enhanced)
-        assert paths == expected
+        assert list(paths) == expected
         features = PathFeaturizer().transform(paths)
         assert features.tobytes() == oracle.featurize_per_path(expected).tobytes()
 
