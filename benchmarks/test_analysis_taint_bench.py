@@ -1,25 +1,18 @@
-"""Triage-precision A/B for the taint-flow engine (ISSUE 8 gate).
+"""Triage-precision floor for the taint-flow engine.
 
-Two analyzer arms run over the example corpora:
+The default analyzer catalog (syntactic rules plus the engine-backed
+flow rules) runs over the example corpora.  Recorded: decisive-hit
+precision on the benign vendor corpus (any decisive hit there is a false
+alarm), decisive recall over the malicious/obfuscated samples, and
+analyzer wall-clock.  The floor:
 
-* **catalog** — the PR 3 syntactic rule set (``legacy_rules``: the
-  twelve structural rules plus the one-line ``decode-chain``);
-* **dataflow** — the default catalog, where the engine-backed flow
-  rules replace the syntactic decode-chain.
+* **precision 1.0** — no benign vendor file is triaged decisively;
+* **recall ≥ 3/11** — the decisive suspects include ``eval_wrapped.js``,
+  ``obfuscator_io.js`` and ``sample_2.js``;
+* ``obfuscator_io.js`` (the string-array dispatch idiom) is decided by
+  ``flow-tainted-dispatch``, which only the interprocedural engine sees.
 
-Recorded per arm: decisive-hit precision on the benign vendor corpus
-(any decisive hit there is a false alarm), decisive recall over the
-malicious/obfuscated samples, and analyzer wall-clock.  The gate:
-
-* **no precision regression** — the dataflow arm issues no decisive hit
-  on a benign vendor file that the catalog arm kept clean;
-* **strict recall win** — the dataflow arm triages
-  ``obfuscator_io.js`` (the string-array dispatch idiom) decisively,
-  which the syntactic catalog cannot;
-* decisive coverage is monotone: every file the catalog arm decided,
-  the dataflow arm decides too.
-
-The A/B lands in ``BENCH_analysis_taint.json``.
+The record lands in ``BENCH_analysis_taint.json``.
 """
 
 import json
@@ -28,7 +21,7 @@ import time
 
 import pytest
 
-from repro.analysis import Analyzer, default_rules, legacy_rules
+from repro.analysis import Analyzer
 from repro.bench import bench_params
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -42,82 +35,72 @@ SUSPECT = sorted((EXAMPLES / "corpus").glob("sample_*.js")) + sorted(
     (EXAMPLES / "obfuscated").glob("*.js")
 )
 
+#: Suspects the engine must keep deciding; their share of SUSPECT is the
+#: recall floor.
+DECIDED_FLOOR = {"eval_wrapped.js", "obfuscator_io.js", "sample_2.js"}
 
-def run_arm(rules, paths):
-    analyzer = Analyzer(rules=rules)
-    rows = {}
+
+def triage():
+    analyzer = Analyzer()
+    files = {}
     started = time.perf_counter()
-    for path in paths:
+    for path in BENIGN + SUSPECT:
         report = analyzer.analyze(path.read_text(), name=path.name)
-        rows[path.name] = {
+        files[path.name] = {
             "decisive": report.decisive,
             "score": round(report.score, 4),
             "rules": sorted({f.rule_id for f in report.findings if f.decisive}),
         }
     elapsed_ms = 1000.0 * (time.perf_counter() - started)
-    return rows, elapsed_ms
-
-
-def ab_comparison():
-    paths = BENIGN + SUSPECT
-    catalog_rows, catalog_ms = run_arm(legacy_rules(), paths)
-    dataflow_rows, dataflow_ms = run_arm(default_rules(), paths)
-
     benign_names = {p.name for p in BENIGN}
-    arms = {}
-    for arm, rows, elapsed_ms in (
-        ("catalog", catalog_rows, catalog_ms),
-        ("dataflow", dataflow_rows, dataflow_ms),
-    ):
-        false_alarms = [n for n in benign_names if rows[n]["decisive"]]
-        decided = [n for n, row in rows.items() if row["decisive"] and n not in benign_names]
-        arms[arm] = {
-            "benign_decisive": sorted(false_alarms),
-            "precision": 1.0 - len(false_alarms) / max(1, len(benign_names)),
-            "suspect_decisive": sorted(decided),
-            "recall": len(decided) / max(1, len(SUSPECT)),
-            "elapsed_ms": round(elapsed_ms, 3),
-        }
-    return {"arms": arms, "files": {"catalog": catalog_rows, "dataflow": dataflow_rows}}
+    false_alarms = [n for n in benign_names if files[n]["decisive"]]
+    decided = [n for n, row in files.items() if row["decisive"] and n not in benign_names]
+    summary = {
+        "benign_decisive": sorted(false_alarms),
+        "precision": 1.0 - len(false_alarms) / max(1, len(benign_names)),
+        "suspect_decisive": sorted(decided),
+        "recall": len(decided) / max(1, len(SUSPECT)),
+        "elapsed_ms": round(elapsed_ms, 3),
+    }
+    return summary, files
 
 
 @pytest.mark.table
-def test_taint_triage_ab_gate(benchmark):
-    result = benchmark.pedantic(ab_comparison, rounds=1, iterations=1)
-    arms, files = result["arms"], result["files"]
+def test_taint_triage_floor(benchmark):
+    summary, files = benchmark.pedantic(triage, rounds=1, iterations=1)
 
-    print("\nTaint-flow triage A/B — decisive precision/recall per arm")
-    for arm, row in arms.items():
-        print(
-            f"  {arm:9s} precision={row['precision']:.3f} recall={row['recall']:.3f} "
-            f"elapsed={row['elapsed_ms']:.1f}ms decisive={row['suspect_decisive']}"
-        )
+    print(
+        f"\nTaint-flow triage — precision={summary['precision']:.3f} "
+        f"recall={summary['recall']:.3f} elapsed={summary['elapsed_ms']:.1f}ms "
+        f"decisive={summary['suspect_decisive']}"
+    )
 
     record = {
-        "bench": "analysis_taint_ab",
-        "source": "benchmarks/test_analysis_taint_bench.py::test_taint_triage_ab_gate",
+        "bench": "analysis_taint_floor",
+        "source": "benchmarks/test_analysis_taint_bench.py::test_taint_triage_floor",
         "params": {
             **bench_params(),
             "n_benign": len(BENIGN),
             "n_suspect": len(SUSPECT),
         },
-        "arms": arms,
+        "floor": {
+            "precision": 1.0,
+            "recall": len(DECIDED_FLOOR) / len(SUSPECT),
+            "decided": sorted(DECIDED_FLOOR),
+        },
+        "dataflow": summary,
         "files": files,
     }
     (REPO_ROOT / "BENCH_analysis_taint.json").write_text(json.dumps(record, indent=2) + "\n")
 
-    # Gate 1: no precision regression on the clean corpus — the dataflow
-    # arm may not flag a benign vendor file the catalog arm kept clean.
-    assert set(arms["dataflow"]["benign_decisive"]) <= set(arms["catalog"]["benign_decisive"])
-    assert arms["dataflow"]["precision"] >= arms["catalog"]["precision"]
+    # Precision: no decisive false alarm on the clean corpus.
+    assert summary["benign_decisive"] == []
+    assert summary["precision"] == 1.0
 
-    # Gate 2: decisive coverage is monotone — everything the syntactic
-    # catalog decided, the engine decides too (decode-chain is a strict
-    # generalization of the one-line rule).
-    assert set(arms["catalog"]["suspect_decisive"]) <= set(arms["dataflow"]["suspect_decisive"])
+    # Recall: every floor suspect stays decided.
+    assert DECIDED_FLOOR <= set(summary["suspect_decisive"])
+    assert summary["recall"] >= len(DECIDED_FLOOR) / len(SUSPECT)
 
-    # Gate 3: the acceptance sample — obfuscator.io's string-array
-    # dispatch is decisive only through the interprocedural engine.
-    assert "obfuscator_io.js" not in arms["catalog"]["suspect_decisive"]
-    assert "obfuscator_io.js" in arms["dataflow"]["suspect_decisive"]
-    assert "flow-tainted-dispatch" in files["dataflow"]["obfuscator_io.js"]["rules"]
+    # obfuscator.io's string-array dispatch is decided by the engine's
+    # dispatch rule, not by a syntactic one.
+    assert "flow-tainted-dispatch" in files["obfuscator_io.js"]["rules"]

@@ -30,7 +30,6 @@ from .catalog import (
     SINK_NAMES,
     callee_name,
     default_rules,
-    legacy_rules,
     shannon_entropy,
 )
 from .dataflow import TaintCatalog, TaintEngine, TaintResult, run_taint
@@ -68,7 +67,6 @@ __all__ = [
     "combine_score",
     "default_rules",
     "flow_rules",
-    "legacy_rules",
     "map_raw_line",
     "parse_suppressions",
     "run_taint",

@@ -4,8 +4,9 @@ Three families, mirroring the issue's triage motivation:
 
 * **Obfuscation indicators** — the concrete idioms obfuscated droppers
   lean on: dynamic code sinks (``eval``, ``new Function``, string-arg
-  timers), decode chains feeding those sinks, high-entropy or
-  escape-soup string literals, and bracket-style global API lookups.
+  timers), decode chains feeding those sinks (the engine-backed flow
+  rules of :mod:`repro.analysis.flows`), high-entropy or escape-soup
+  string literals, and bracket-style global API lookups.
 * **Dataflow checks** — def-use and CFG facts the rest of the repo
   already computes: use-before-def, write-only variables, unreachable
   statements.
@@ -21,7 +22,6 @@ from __future__ import annotations
 import math
 
 from repro.jsparser import ast_nodes as ast
-from repro.jsparser.visitor import walk
 
 from .rules import Rule, RuleContext
 
@@ -82,14 +82,6 @@ def _call_name(node: ast.Node) -> str | None:
     return callee_name(node.callee)
 
 
-def _contains_decode_call(node: ast.Node) -> ast.Node | None:
-    """First decode-family call anywhere in ``node``'s subtree."""
-    for descendant in walk(node):
-        if _call_name(descendant) in DECODE_NAMES:
-            return descendant
-    return None
-
-
 def _string_value(node: ast.Node) -> str | None:
     if node.type == "Literal" and isinstance(getattr(node, "value", None), str):
         return node.value
@@ -139,112 +131,6 @@ class TimerStringArgRule(Rule):
                 first.type == "BinaryExpression" and _string_value(first.left) is not None
             ):
                 ctx.report(self, node, f"{name} called with a string argument — implicit eval")
-
-
-class LegacyDecodeChainRule(Rule):
-    """Decoded data reaching a dynamic code sink — the PR 3 syntactic
-    version, superseded by :class:`repro.analysis.flows.DecodeChainFlowRule`.
-
-    Catches the direct nesting (``eval(atob(x))``) in the node hook and
-    the variable-hop variant (``var s = unescape(p); … eval(s)``) in the
-    finish pass via def-use chains.  Decisive: legitimate code has no
-    business executing freshly decoded strings.  Kept (same rule id) as
-    the baseline arm of the triage-precision A/B bench; not part of
-    :func:`default_rules` anymore.
-    """
-
-    id = "decode-chain"
-    severity = "error"
-    decisive = True
-    description = "string-decode output flows into a dynamic code sink"
-    node_types = ("CallExpression", "NewExpression")
-
-    def _state(self, ctx: RuleContext) -> dict[str, list[object]]:
-        state = ctx.state.get(self.id)
-        if state is None:
-            state = {"sinks": [], "tainted_writes": []}
-            ctx.state[self.id] = state
-        return state
-
-    def visit(self, node: ast.Node, ctx: RuleContext) -> None:
-        name = _call_name(node)
-        if name not in SINK_NAMES:
-            return
-        state = self._state(ctx)
-        state["sinks"].append(node)
-        for argument in node.arguments:
-            decode = _contains_decode_call(argument)
-            if decode is not None:
-                ctx.report(
-                    self,
-                    node,
-                    f"{_call_name(decode)} output passed straight into {name}",
-                )
-                return
-
-    def finish(self, ctx: RuleContext) -> None:
-        state = self._state(ctx)
-        if not state["sinks"]:
-            return
-        defuse = ctx.defuse
-        # Bindings whose definition right-hand side contains a decode call,
-        # propagated to a fixpoint through variable-to-variable copies
-        # (`var s = atob(p); var t = s + pad; eval(t)` taints both s and t).
-        def_rhs: list[tuple[int, ast.Node]] = []
-        for event in defuse.events:
-            if event.kind != "def":
-                continue
-            parent = ctx.parent(event.node)
-            rhs = None
-            if parent is not None and parent.type == "VariableDeclarator":
-                rhs = parent.init
-            elif parent is not None and parent.type == "AssignmentExpression":
-                rhs = parent.right
-            if rhs is not None:
-                def_rhs.append((id(event.binding), rhs))
-
-        tainted = {
-            binding_key
-            for binding_key, rhs in def_rhs
-            if _contains_decode_call(rhs) is not None
-        }
-        changed = bool(tainted)
-        while changed:
-            changed = False
-            for binding_key, rhs in def_rhs:
-                if binding_key in tainted:
-                    continue
-                for descendant in walk(rhs):
-                    if descendant.type != "Identifier":
-                        continue
-                    event = defuse.event_of_node.get(id(descendant))
-                    if event is not None and event.kind == "use" and id(event.binding) in tainted:
-                        tainted.add(binding_key)
-                        changed = True
-                        break
-        if not tainted:
-            return
-        reported = set()
-        for sink in state["sinks"]:
-            if id(sink) in reported:
-                continue
-            for argument in sink.arguments:
-                hit = False
-                for descendant in walk(argument):
-                    if descendant.type != "Identifier":
-                        continue
-                    event = defuse.event_of_node.get(id(descendant))
-                    if event is not None and event.kind == "use" and id(event.binding) in tainted:
-                        ctx.report(
-                            self,
-                            sink,
-                            f"decoded value {descendant.name!r} reaches {_call_name(sink)} via dataflow",
-                        )
-                        reported.add(id(sink))
-                        hit = True
-                        break
-                if hit:
-                    break
 
 
 class HighEntropyLiteralRule(Rule):
@@ -487,8 +373,12 @@ class DebuggerStatementRule(Rule):
 # --------------------------------------------------------------------- catalog
 
 
-def _base_rules() -> list[Rule]:
-    """The syntactic/def-use rules shared by both catalogs."""
+def default_rules() -> list[Rule]:
+    """Fresh instances of the full built-in catalog: the syntactic rules
+    plus the interprocedural taint-flow rules (including the engine-backed
+    ``decode-chain``)."""
+    from .flows import flow_rules  # local import: flows.py imports this module
+
     return [
         DynamicEvalRule(),
         TimerStringArgRule(),
@@ -502,19 +392,5 @@ def _base_rules() -> list[Rule]:
         WithStatementRule(),
         DeepNestingRule(),
         DebuggerStatementRule(),
+        *flow_rules(),
     ]
-
-
-def default_rules() -> list[Rule]:
-    """Fresh instances of the full built-in catalog: the syntactic rules
-    plus the interprocedural taint-flow rules (including the engine-backed
-    ``decode-chain``)."""
-    from .flows import flow_rules  # local import: flows.py imports this module
-
-    return _base_rules() + flow_rules()
-
-
-def legacy_rules() -> list[Rule]:
-    """The PR 3 catalog (syntactic ``decode-chain``, no flow rules) —
-    the baseline arm of the triage-precision A/B bench."""
-    return _base_rules() + [LegacyDecodeChainRule()]

@@ -1,11 +1,13 @@
 """The scan daemon: model loaded once, shared by every connection.
 
-``ScanServer`` glues the pieces together: hand-rolled HTTP/1.1 framing
-(:mod:`repro.serve.http`), the micro-batching queue
-(:mod:`repro.serve.batching`), the existing
+``ScanServer`` is an :class:`~repro.serve.service.HTTPService` (the
+connection loop, route table, envelope rendering, request counters,
+``/metrics``, ``/debug/traces`` and ``/debug/prof`` it shares with the
+cluster router) that declares the scan routes.  It glues the micro-batching
+queue (:mod:`repro.serve.batching`), the existing
 :class:`~repro.pipeline.BatchScanner` + :class:`~repro.pipeline.FeatureCache`
 (one of each, shared by all clients), and the
-:class:`~repro.obs.MetricsRegistry` observability layer.
+:class:`~repro.obs.MetricsRegistry` observability layer together.
 
 Endpoints (mounted under ``/v1``; see API.md for the envelope contract —
 the bare legacy paths remain as deprecation aliases)::
@@ -27,6 +29,7 @@ the bare legacy paths remain as deprecation aliases)::
     GET  /v1/metrics     → 200 Prometheus text exposition (unwrapped —
                            the one non-envelope endpoint, by design)
     GET  /v1/debug/traces[/<id>] → 200 envelope: retained span trees
+    GET  /v1/debug/prof  → 200 collapsed-stack profile (``threads=`` filters)
 
 Failure semantics (the backpressure contract):
 
@@ -42,12 +45,8 @@ Failure semantics (the backpressure contract):
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import math
 import os
-import signal
-import sys
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -55,34 +54,18 @@ from typing import TYPE_CHECKING
 
 from repro.analysis import Analyzer
 from repro.faults import CircuitBreaker, QuarantineJournal, ScanLimits
-from repro.obs import (
-    MetricsRegistry,
-    SamplingProfiler,
-    SpanContext,
-    TraceStore,
-    Tracer,
-    get_logger,
-)
+from repro.obs import MetricsRegistry, SpanContext, Tracer, get_logger
 from repro.pipeline import BatchScanner, FeatureCache
 
-from .api import (
-    deprecation_headers,
-    is_legacy_alias,
-    protocol_error_response,
-    split_api_path,
-    v1_error_response,
-    v1_response,
-)
 from .batching import Draining, MicroBatcher, QueueFull
-from .http import (
-    MAX_BODY_BYTES,
-    ProtocolError,
-    Request,
-    error_response,
-    json_response,
-    read_request,
-    render_response,
-    trace_list_query,
+from .http import MAX_BODY_BYTES, ProtocolError, Request
+from .service import (
+    RETRY_AFTER_S,
+    BackgroundService,
+    Handler,
+    HTTPService,
+    Reply,
+    run_until_signaled,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -102,7 +85,6 @@ class ServeConfig:
     cache_entries: int = 4096
     threshold: float = 0.5  # default verdict threshold
     request_timeout_s: float = 30.0
-    retry_after_s: int = 1  # advertised on 429
     # Fault isolation (repro.faults): any of the three limits being set
     # routes every scan through the worker pool, under those bounds.
     timeout_s: float | None = None  # per-script wall-clock deadline
@@ -120,8 +102,6 @@ class ServeConfig:
     # Deobfuscation pre-pass default: requests may override per call with
     # a boolean ``"deobfuscate"`` field on /scan and /scan/batch bodies.
     deobfuscate: bool = False
-    # Default sampling rate for GET /v1/debug/prof captures.
-    profile_hz: float = 99.0
 
     def validate(self) -> None:
         if self.n_workers < 1:
@@ -142,8 +122,6 @@ class ServeConfig:
             raise ValueError("trace_sample_rate must be within [0, 1]")
         if self.trace_capacity < 1:
             raise ValueError("trace_capacity must be positive")
-        if self.profile_hz <= 0:
-            raise ValueError("profile_hz must be positive")
         limits = self.scan_limits()
         if limits is not None:
             limits.validate()
@@ -157,7 +135,7 @@ class ServeConfig:
         )
 
 
-class ScanServer:
+class ScanServer(HTTPService):
     """One loaded model behind an asyncio HTTP endpoint."""
 
     def __init__(
@@ -166,10 +144,12 @@ class ScanServer:
         config: ServeConfig | None = None,
         metrics: MetricsRegistry | None = None,
     ):
-        self.config = config or ServeConfig()
-        self.config.validate()
+        config = config or ServeConfig()
+        config.validate()
+        super().__init__(
+            config, metrics, ("repro_http_request_seconds", "Wall-clock per HTTP request")
+        )
         self.detector = detector
-        self.metrics = metrics or MetricsRegistry()
         self.fingerprint = detector.fingerprint()
 
         self.cache = FeatureCache(
@@ -188,15 +168,11 @@ class ScanServer:
             reset_timeout_s=self.config.breaker_reset_s,
             metrics=self.metrics,
         )
-        # Per-request traces land in the bounded ring behind /debug/traces;
-        # the scanner gets its own never-sampling tracer — batch traces are
+        self.log = get_logger("serve")
+        # Per-request traces land in the service's /debug/traces ring; the
+        # scanner gets its own never-sampling tracer — batch traces are
         # recorded only when a traced request is waiting on the batch, then
         # grafted under each such request's root span.
-        self.traces = TraceStore(
-            capacity=self.config.trace_capacity, slow_ms=self.config.trace_slow_ms
-        )
-        self.tracer = Tracer(sample_rate=self.config.trace_sample_rate, sink=self.traces.put)
-        self.log = get_logger("serve")
         self.scanner = self._build_scanner(detector, self.cache)
         # Static analysis shares the metrics registry, so /metrics exposes
         # per-rule finding counters next to the scan histograms.
@@ -217,16 +193,11 @@ class ScanServer:
             metrics=self.metrics,
             pass_meta=True,
         )
-        self._server: asyncio.AbstractServer | None = None
-        self.bound_port: int | None = None
-        self.started_at = time.time()
         #: Model epoch: 0 for the boot model, +1 per successful
         #: ``POST /v1/admin/reload``.  The supervisor's rolling reload
         #: watches this (plus the fingerprint) to confirm a shard rolled.
         self.epoch = 0
 
-        self._m_requests: dict[tuple[str, str, int], object] = {}
-        self._m_deprecated: dict[str, object] = {}
         self._m_reloads = self.metrics.counter(
             "repro_model_reloads_total", "Successful zero-downtime model reloads"
         )
@@ -234,22 +205,16 @@ class ScanServer:
             "repro_model_epoch", "Model epoch (0 = boot model, +1 per reload)"
         )
         self._m_epoch.set(0)
-        self._m_latency = self.metrics.histogram(
-            "repro_http_request_seconds", "Wall-clock per HTTP request"
-        )
-        import platform
 
-        from repro import __version__
-
-        self.metrics.gauge(
-            "repro_build_info",
-            "Constant 1; the labels carry the build/runtime identity",
-            labels={"version": __version__, "python": platform.python_version()},
-        ).set(1)
-        self._m_uptime = self.metrics.gauge(
-            "repro_uptime_seconds", "Seconds since the server started"
-        )
-        self.profiler = SamplingProfiler(hz=self.config.profile_hz)
+    def routes(self) -> dict[str, dict[str, Handler]]:
+        return {
+            "/healthz": {"GET": self._handle_healthz},
+            "/version": {"GET": self._handle_version},
+            "/scan": {"POST": self._handle_scan},
+            "/scan/batch": {"POST": self._handle_scan_batch},
+            "/analyze": {"POST": self._handle_analyze},
+            "/admin/reload": {"POST": self._handle_admin_reload},
+        }
 
     # The executor-side entry point; wrapped so tests/benches can stub it.
     def _scan_batch(self, sources: list[str], names: list[str], metas: list[dict] | None = None):
@@ -311,205 +276,15 @@ class ScanServer:
 
     async def start(self) -> None:
         self.batcher.start()
-        self._server = await asyncio.start_server(
-            self._on_connection, host=self.config.host, port=self.config.port
-        )
-        self.bound_port = self._server.sockets[0].getsockname()[1]
+        await super().start()
 
     async def stop(self, drain: bool = True) -> None:
         """Stop accepting, optionally answer all admitted work, tear down."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        await super().stop()
         if drain:
             await self.batcher.drain()
         self.scanner.close()
         self._executor.shutdown(wait=True)
-
-    async def run_until_signaled(self, signals=(signal.SIGTERM, signal.SIGINT)) -> None:
-        """Serve until SIGTERM/SIGINT, then drain in-flight work and return."""
-        loop = asyncio.get_running_loop()
-        stop_event = asyncio.Event()
-        for signum in signals:
-            loop.add_signal_handler(signum, stop_event.set)
-        try:
-            await self.start()
-            print(
-                f"repro.serve listening on http://{self.config.host}:{self.bound_port} "
-                f"(workers={self.config.n_workers}, max_batch={self.config.max_batch}, "
-                f"queue_limit={self.config.queue_limit})",
-                file=sys.stderr,
-                flush=True,
-            )
-            await stop_event.wait()
-            print("repro.serve draining…", file=sys.stderr, flush=True)
-        finally:
-            for signum in signals:
-                loop.remove_signal_handler(signum)
-            await self.stop(drain=True)
-
-    # ----------------------------------------------------------- connections
-
-    async def _on_connection(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
-        try:
-            while True:
-                try:
-                    request = await read_request(reader, self.config.max_body_bytes)
-                except ProtocolError as error:
-                    writer.write(protocol_error_response(error))
-                    await writer.drain()
-                    break
-                except (asyncio.IncompleteReadError, ConnectionError):
-                    break
-                if request is None:
-                    break
-                started = time.perf_counter()
-                response, keep_alive = await self._route(request)
-                self._m_latency.observe(
-                    time.perf_counter() - started, trace_id=request.trace_id_hint
-                )
-                writer.write(response)
-                await writer.drain()
-                if not keep_alive or not request.keep_alive:
-                    break
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            with contextlib.suppress(Exception):
-                writer.close()
-                await writer.wait_closed()
-
-    def _count_request(self, method: str, path: str, status: int) -> None:
-        key = (method, path, status)
-        counter = self._m_requests.get(key)
-        if counter is None:
-            counter = self.metrics.counter(
-                "repro_http_requests_total",
-                "HTTP requests by method, path, and status",
-                labels={"method": method, "path": path, "status": str(status)},
-            )
-            self._m_requests[key] = counter
-        counter.inc()
-
-    def _count_deprecated(self, path: str) -> None:
-        counter = self._m_deprecated.get(path)
-        if counter is None:
-            counter = self.metrics.counter(
-                "repro_http_deprecated_requests_total",
-                "Requests on unprefixed legacy paths (deprecation aliases of /v1)",
-                labels={"path": path},
-            )
-            self._m_deprecated[path] = counter
-        counter.inc()
-
-    # ------------------------------------------------------------- rendering
-    #
-    # Every handler produces a *payload* (a JSON-able dict) and the routing
-    # layer renders it per API surface: the v1 envelope under /v1, the
-    # byte-identical v0 body on the legacy aliases.  Error paths flow
-    # through the same split — one semantic error, two renderings.
-
-    def _request_trace_id(self, request: Request) -> str | None:
-        parent = SpanContext.parse(request.traceparent)
-        return parent.trace_id if parent is not None else None
-
-    def _ok(
-        self,
-        request: Request,
-        payload: dict,
-        trace_id: str | None = None,
-        extra_headers: dict[str, str] | None = None,
-        status: int = 200,
-    ) -> tuple[int, bytes]:
-        if request.api == "v1":
-            return status, v1_response(status, payload, trace_id=trace_id, extra_headers=extra_headers)
-        return status, json_response(status, payload, extra_headers=extra_headers)
-
-    def _err(
-        self,
-        request: Request,
-        status: int,
-        message: str,
-        detail: dict | None = None,
-        extra_headers: dict[str, str] | None = None,
-        trace_id: str | None = None,
-        keep_alive: bool = True,
-    ) -> tuple[int, bytes]:
-        if trace_id is None:
-            trace_id = self._request_trace_id(request)
-        if request.api == "v1":
-            return status, v1_error_response(
-                status, message, trace_id=trace_id, detail=detail,
-                extra_headers=extra_headers, keep_alive=keep_alive,
-            )
-        return status, error_response(
-            status, message, extra_headers=extra_headers, keep_alive=keep_alive
-        )
-
-    # --------------------------------------------------------------- routing
-
-    async def _route(self, request: Request) -> tuple[bytes, bool]:
-        """Dispatch one request; returns ``(response_bytes, keep_alive)``."""
-        request.api, logical = split_api_path(request.path)
-        deprecated = request.api == "legacy" and is_legacy_alias(logical)
-        handlers = {
-            ("GET", "/healthz"): self._handle_healthz,
-            ("GET", "/version"): self._handle_version,
-            ("GET", "/metrics"): self._handle_metrics,
-            ("POST", "/scan"): self._handle_scan,
-            ("POST", "/scan/batch"): self._handle_scan_batch,
-            ("POST", "/analyze"): self._handle_analyze,
-        }
-        if request.api == "v1":
-            handlers[("POST", "/admin/reload")] = self._handle_admin_reload
-            handlers[("GET", "/debug/prof")] = self._handle_prof
-        handler = handlers.get((request.method, logical))
-        known_path = any(path == logical for _, path in handlers)
-        if handler is None and logical.startswith("/debug/traces"):
-            known_path = True
-            if request.method == "GET":
-                handler = (
-                    self._handle_traces_list
-                    if logical.rstrip("/") == "/debug/traces"
-                    else self._handle_trace_get
-                )
-        try:
-            if handler is None:
-                status, response = self._err(
-                    request,
-                    405 if known_path else 404,
-                    f"no route for {request.method} {request.path}",
-                    extra_headers={"Allow": "GET, POST"} if known_path else None,
-                )
-            else:
-                status, response = await handler(request)
-        except ProtocolError as error:
-            status, response = self._err(request, error.status, error.message)
-        except _Reply as reply:  # early termination raised outside a handler's catch
-            status, response = self._render_reply(request, reply)
-        except Exception as error:  # a handler bug must not kill the connection loop
-            status, response = self._err(
-                request, 500, f"internal error: {type(error).__name__}: {error}"
-            )
-        if deprecated:
-            self._count_deprecated(logical)
-            response = _inject_headers(response, deprecation_headers(logical))
-        self._count_request(request.method, request.path, status)
-        return response, status < 500 or status == 503
-
-    def _render_reply(
-        self, request: Request, reply: "_Reply", trace_id: str | None = None
-    ) -> tuple[int, bytes]:
-        return self._err(
-            request,
-            reply.status,
-            reply.message,
-            detail=reply.detail,
-            extra_headers=reply.headers,
-            trace_id=trace_id,
-            keep_alive=reply.keep_alive,
-        )
 
     # -------------------------------------------------------------- handlers
 
@@ -521,7 +296,7 @@ class ScanServer:
             "pid": os.getpid(),
             "draining": bool(getattr(self.batcher, "_draining", False)),
             "queue_depth": self.batcher.queue_depth,
-            "uptime_s": round(time.time() - self.started_at, 3),
+            "uptime_s": self.uptime_s(),
             "breaker": self.breaker.snapshot(),
             "quarantined": len(self.quarantine),
             "traces_stored": len(self.traces),
@@ -551,54 +326,6 @@ class ScanServer:
         }
         return self._ok(request, payload)
 
-    async def _handle_metrics(self, request: Request) -> tuple[int, bytes]:
-        self._m_uptime.set(round(time.time() - self.started_at, 3))
-        body = self.metrics.render().encode("utf-8")
-        return 200, render_response(200, body, content_type=MetricsRegistry.CONTENT_TYPE)
-
-    async def _handle_traces_list(self, request: Request) -> tuple[int, bytes]:
-        filters = trace_list_query(request)
-        payload = {
-            "traces": self.traces.list(
-                max(1, min(filters["n"], self.traces.capacity)),
-                slow_ms=filters["slow_ms"],
-                status=filters["status"],
-            ),
-            "stored": self.traces.stored,
-            "evicted": self.traces.evicted,
-            "sample_rate": self.config.trace_sample_rate,
-        }
-        return self._ok(request, payload)
-
-    async def _handle_prof(self, request: Request) -> tuple[int, bytes]:
-        """Collapsed-stack wall-clock profile of this shard's live threads.
-
-        The capture itself blocks, so it runs on the default executor —
-        not the single scan-executor thread, which must stay sampleable.
-        """
-        try:
-            seconds = float(request.query.get("seconds", "1"))
-            hz = float(request.query["hz"]) if "hz" in request.query else None
-        except ValueError as error:
-            raise ProtocolError(400, '"seconds" and "hz" must be numbers') from error
-        if seconds <= 0 or (hz is not None and hz <= 0):
-            raise ProtocolError(400, '"seconds" and "hz" must be positive')
-        thread_prefix = request.query.get("threads")
-        loop = asyncio.get_running_loop()
-        report = await loop.run_in_executor(
-            None, lambda: self.profiler.profile(seconds, hz=hz, thread_prefix=thread_prefix)
-        )
-        return 200, render_response(
-            200, report.collapsed().encode("utf-8"), content_type="text/plain; charset=utf-8"
-        )
-
-    async def _handle_trace_get(self, request: Request) -> tuple[int, bytes]:
-        trace_id = request.path.rstrip("/").rsplit("/", 1)[-1]
-        record = self.traces.get(trace_id)
-        if record is None:
-            return self._err(request, 404, f"trace {trace_id!r} not found (expired or unsampled)")
-        return self._ok(request, record)
-
     # --------------------------------------------------------------- tracing
 
     def _start_request_trace(self, request: Request, name: str):
@@ -612,11 +339,6 @@ class ScanServer:
             # a trace id that will actually exist in the store.
             request.trace_id_hint = root.context.trace_id
         return root
-
-    @staticmethod
-    def _trace_headers(root) -> dict[str, str]:
-        context = root.context
-        return {"X-Trace-Id": context.trace_id, "traceparent": context.to_traceparent()}
 
     def _graft_batch(self, root, report, total_wait_ms: float | None) -> None:
         """Stitch one batch's span tree into a traced request's trace.
@@ -689,10 +411,8 @@ class ScanServer:
 
     async def _submit(self, source: str, name: str, meta: dict | None = None) -> asyncio.Future:
         if not self.breaker.allow():
-            retry = max(
-                self.config.retry_after_s, math.ceil(self.breaker.retry_after_s())
-            )
-            raise _Reply(
+            retry = max(RETRY_AFTER_S, math.ceil(self.breaker.retry_after_s()))
+            raise Reply(
                 503,
                 "scan workers are failing; circuit breaker is open",
                 headers={"Retry-After": str(retry)},
@@ -701,14 +421,14 @@ class ScanServer:
         try:
             return self.batcher.submit(source, name, meta=meta)
         except QueueFull as error:
-            raise _Reply(
+            raise Reply(
                 429,
                 str(error),
-                headers={"Retry-After": str(self.config.retry_after_s)},
+                headers={"Retry-After": str(RETRY_AFTER_S)},
                 detail={"state": "queue_full", "queue_limit": self.config.queue_limit},
             ) from error
         except Draining as error:
-            raise _Reply(
+            raise Reply(
                 503, "server is draining", detail={"state": "draining"}, keep_alive=False
             ) from error
 
@@ -733,7 +453,7 @@ class ScanServer:
                 future = await self._submit(
                     source, name, meta={"trace": root.recording, "deobfuscate": deobfuscate}
                 )
-            except _Reply as reply:
+            except Reply as reply:
                 root.set_status("error", f"rejected {reply.status}")
                 return self._render_reply(request, reply, trace_id=root.context.trace_id)
             try:
@@ -745,7 +465,7 @@ class ScanServer:
                     503,
                     f"scan did not complete within {self.config.request_timeout_s:g}s",
                     detail={"state": "timeout"},
-                    extra_headers={"Retry-After": str(self.config.retry_after_s)},
+                    extra_headers={"Retry-After": str(RETRY_AFTER_S)},
                     trace_id=root.context.trace_id,
                 )
             total_wait_ms = 1000.0 * (time.perf_counter() - submitted)
@@ -788,7 +508,7 @@ class ScanServer:
                 429,
                 f"queue full ({self.config.queue_limit} requests pending)",
                 detail={"state": "queue_full", "queue_limit": self.config.queue_limit},
-                extra_headers={"Retry-After": str(self.config.retry_after_s)},
+                extra_headers={"Retry-After": str(RETRY_AFTER_S)},
             )
         root = self._start_request_trace(request, "http.analyze")
         with root:
@@ -855,7 +575,7 @@ class ScanServer:
                             meta={"trace": root.recording, "deobfuscate": deobfuscate},
                         )
                     )
-            except _Reply as reply:
+            except Reply as reply:
                 for future in futures:  # abandon what we already queued
                     future.cancel()
                 root.set_status("error", f"rejected {reply.status}")
@@ -873,7 +593,7 @@ class ScanServer:
                     503,
                     f"batch did not complete within {self.config.request_timeout_s:g}s",
                     detail={"state": "timeout"},
-                    extra_headers={"Retry-After": str(self.config.retry_after_s)},
+                    extra_headers={"Retry-After": str(RETRY_AFTER_S)},
                     trace_id=root.context.trace_id,
                 )
             total_wait_ms = 1000.0 * (time.perf_counter() - submitted)
@@ -985,58 +705,24 @@ class ScanServer:
         )
 
 
-class _Reply(Exception):
-    """Internal control flow: a semantic early response.
-
-    Carries *what went wrong*, not bytes — the routing layer renders it
-    as a legacy ``{"error": {...}}`` body or a v1 error envelope
-    depending on which surface the request arrived on.
-    """
-
-    def __init__(
-        self,
-        status: int,
-        message: str,
-        headers: dict[str, str] | None = None,
-        detail: dict | None = None,
-        keep_alive: bool = True,
-    ):
-        super().__init__(status)
-        self.status = status
-        self.message = message
-        self.headers = headers
-        self.detail = detail
-        self.keep_alive = keep_alive
-
-
-def _inject_headers(response: bytes, headers: dict[str, str]) -> bytes:
-    """Add headers to an already-rendered response (deprecation aliases).
-
-    The legacy body must stay byte-identical, so alias responses are
-    rendered exactly as before and the ``Deprecation``/``Link`` headers
-    are spliced into the header block afterwards.
-    """
-    head, sep, body = response.partition(b"\r\n\r\n")
-    if not sep:  # pragma: no cover - every rendered response has the blank line
-        return response
-    extra = "".join(f"\r\n{name}: {value}" for name, value in headers.items())
-    return head + extra.encode("latin-1") + sep + body
-
-
 def run_server(detector: "JSRevealer", config: ServeConfig | None = None) -> int:
     """Blocking entry point used by ``repro serve``; returns the exit code."""
     from repro.faults.inject import maybe_inject_boot
 
     maybe_inject_boot()  # chaos seam: dormant without REPRO_FAULT_INJECT
     server = ScanServer(detector, config)
-    try:
-        asyncio.run(server.run_until_signaled())
-    except KeyboardInterrupt:  # signal handler not installable (rare)
-        return 0
-    return 0
+    return run_until_signaled(
+        server,
+        lambda: (
+            f"repro.serve listening on http://{server.config.host}:{server.bound_port} "
+            f"(workers={server.config.n_workers}, max_batch={server.config.max_batch}, "
+            f"queue_limit={server.config.queue_limit})"
+        ),
+        "repro.serve draining…",
+    )
 
 
-class BackgroundServer:
+class BackgroundServer(BackgroundService):
     """A ScanServer on a daemon thread — tests, benches, and notebooks.
 
     Usage::
@@ -1045,58 +731,13 @@ class BackgroundServer:
             http.client.HTTPConnection(server.host, server.port)…
     """
 
+    what = "server"
+
     def __init__(self, detector: "JSRevealer", config: ServeConfig | None = None):
-        self.config = config or ServeConfig(port=0)
+        super().__init__(config or ServeConfig(port=0))
         self.detector = detector
         self.server: ScanServer | None = None
-        self.port: int | None = None
-        self._ready = threading.Event()
-        self._startup_error: BaseException | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._stop_event: asyncio.Event | None = None
-        self._thread: threading.Thread | None = None
 
-    @property
-    def host(self) -> str:
-        return self.config.host
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    def __enter__(self) -> "BackgroundServer":
-        self._thread = threading.Thread(target=self._thread_main, daemon=True)
-        self._thread.start()
-        if not self._ready.wait(timeout=30):
-            raise RuntimeError("background server failed to start in time")
-        if self._startup_error is not None:
-            raise RuntimeError("background server failed to start") from self._startup_error
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self.stop()
-        return False
-
-    def stop(self) -> None:
-        if self._loop is not None and self._stop_event is not None:
-            self._loop.call_soon_threadsafe(self._stop_event.set)
-        if self._thread is not None:
-            self._thread.join(timeout=30)
-            self._thread = None
-
-    def _thread_main(self) -> None:
-        try:
-            asyncio.run(self._amain())
-        except BaseException as error:  # surface startup failures to __enter__
-            self._startup_error = error
-            self._ready.set()
-
-    async def _amain(self) -> None:
+    def _build(self) -> ScanServer:
         self.server = ScanServer(self.detector, self.config)
-        self._loop = asyncio.get_running_loop()
-        self._stop_event = asyncio.Event()
-        await self.server.start()
-        self.port = self.server.bound_port
-        self._ready.set()
-        await self._stop_event.wait()
-        await self.server.stop(drain=True)
+        return self.server

@@ -18,23 +18,23 @@ background task feeds fleet snapshots to the
 :class:`~repro.serve.autoscale.Autoscaler` and applies its decisions —
 spawn a shard and add it to the router's ring, or pull a shard *out of
 the ring first* and then retire it (no request may be routed to a shard
-being torn down).  :class:`BackgroundCluster` is the test/bench
-wrapper, mirroring :class:`~repro.serve.app.BackgroundServer`.
+being torn down).  :func:`run_cluster` and :class:`BackgroundCluster`
+run it under the same lifecycles as a single daemon
+(:func:`~repro.serve.service.run_until_signaled`,
+:class:`~repro.serve.service.BackgroundService`).
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
-import signal
-import sys
-import threading
 from dataclasses import dataclass, field
 
 from repro.obs import MetricsRegistry, get_logger
 
 from .autoscale import HOLD, SCALE_DOWN, SCALE_UP, AutoscaleConfig, Autoscaler
 from .router import RouterConfig, ScanRouter
+from .service import BackgroundService, run_until_signaled
 from .supervisor import ShardSupervisor
 
 
@@ -176,38 +176,21 @@ class ClusterController:
             return shard_id
         return None
 
-    async def run_until_signaled(self, signals=(signal.SIGTERM, signal.SIGINT)) -> None:
-        loop = asyncio.get_running_loop()
-        stop_event = asyncio.Event()
-        for signum in signals:
-            loop.add_signal_handler(signum, stop_event.set)
-        try:
-            await self.start()
-            print(
-                f"repro.cluster router on http://{self.config.host}:{self.bound_port} "
-                f"({self.config.n_shards} shards)",
-                file=sys.stderr,
-                flush=True,
-            )
-            await stop_event.wait()
-            print("repro.cluster stopping…", file=sys.stderr, flush=True)
-        finally:
-            for signum in signals:
-                loop.remove_signal_handler(signum)
-            await self.stop()
-
 
 def run_cluster(config: ClusterConfig) -> int:
     """Blocking entry point used by the CLI; returns the exit code."""
     controller = ClusterController(config)
-    try:
-        asyncio.run(controller.run_until_signaled())
-    except KeyboardInterrupt:  # signal handler not installable (rare)
-        return 0
-    return 0
+    return run_until_signaled(
+        controller,
+        lambda: (
+            f"repro.cluster router on http://{config.host}:{controller.bound_port} "
+            f"({config.n_shards} shards)"
+        ),
+        "repro.cluster stopping…",
+    )
 
 
-class BackgroundCluster:
+class BackgroundCluster(BackgroundService):
     """A whole cluster on a daemon thread — tests, benches, and notebooks.
 
     Usage::
@@ -216,65 +199,19 @@ class BackgroundCluster:
             ScanClient(cluster.url).scan("alert(1)")
     """
 
+    what = "cluster"
+    start_timeout_s = 300.0  # shard boot includes a model load per shard
+    join_timeout_s = 60.0
+
     def __init__(self, config: ClusterConfig):
-        self.config = config
+        super().__init__(config)
         self.controller: ClusterController | None = None
-        self.port: int | None = None
-        self._ready = threading.Event()
-        self._startup_error: BaseException | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._stop_event: asyncio.Event | None = None
-        self._thread: threading.Thread | None = None
-
-    @property
-    def host(self) -> str:
-        return self.config.host
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    def __enter__(self) -> "BackgroundCluster":
-        self._thread = threading.Thread(target=self._thread_main, daemon=True)
-        self._thread.start()
-        # Shard boot includes a model load per shard; generous timeout.
-        if not self._ready.wait(timeout=300):
-            raise RuntimeError("background cluster failed to start in time")
-        if self._startup_error is not None:
-            raise RuntimeError("background cluster failed to start") from self._startup_error
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self.stop()
-        return False
-
-    def stop(self) -> None:
-        if self._loop is not None and self._stop_event is not None:
-            self._loop.call_soon_threadsafe(self._stop_event.set)
-        if self._thread is not None:
-            self._thread.join(timeout=60)
-            self._thread = None
 
     def call_soon(self, fn, *args) -> None:
         """Run ``fn`` on the cluster's event loop (tests poking internals)."""
         assert self._loop is not None
         self._loop.call_soon_threadsafe(fn, *args)
 
-    def _thread_main(self) -> None:
-        try:
-            asyncio.run(self._amain())
-        except BaseException as error:  # surface startup failures to __enter__
-            self._startup_error = error
-            self._ready.set()
-
-    async def _amain(self) -> None:
+    def _build(self) -> ClusterController:
         self.controller = ClusterController(self.config)
-        self._loop = asyncio.get_running_loop()
-        self._stop_event = asyncio.Event()
-        await self.controller.start()
-        self.port = self.controller.bound_port
-        self._ready.set()
-        try:
-            await self._stop_event.wait()
-        finally:
-            await self.controller.stop()
+        return self.controller

@@ -1,12 +1,14 @@
 """The cluster front door: one listener, N scan shards behind it.
 
-The router terminates HTTP (same hand-rolled framing as the shards),
-picks a shard per script by consistent-hashing its SHA-256 content key
-(:mod:`repro.serve.hashring` — the same key the feature cache uses, so
-every copy of a script hits the shard whose memory LRU already holds
-it), and forwards the request with the client's ``traceparent`` carried
-through — one scan's span tree crosses both processes under one trace
-id.
+The router terminates HTTP through the same
+:class:`~repro.serve.service.HTTPService` as the shards (connection
+loop, route table, envelope rendering, request counters, ``/debug``
+endpoints), picks a shard per script by consistent-hashing its SHA-256
+content key (:mod:`repro.serve.hashring` — the same key the feature
+cache uses, so every copy of a script hits the shard whose memory LRU
+already holds it), and forwards the request with the client's
+``traceparent`` carried through — one scan's span tree crosses both
+processes under one trace id.
 
 Every content key is placed on **R replicas** (the first R distinct
 shards in the key's ring preference order): the primary serves by
@@ -52,43 +54,21 @@ from repro.obs import (
     AGGREGATE_MODES,
     FleetMetrics,
     MetricsRegistry,
-    SamplingProfiler,
     SLOEngine,
     SLOSpec,
     SLOStatus,
     SpanContext,
     TimeseriesRing,
-    Tracer,
-    TraceStore,
     default_slos,
     get_logger,
     parse_exposition,
 )
 from repro.pipeline import content_key
 
-from .api import (
-    V1_PREFIX,
-    deprecation_headers,
-    is_legacy_alias,
-    protocol_error_response,
-    split_api_path,
-    v1_error_response,
-    v1_response,
-)
-from .app import _inject_headers
+from .api import V1_PREFIX
 from .hashring import HashRing
-from .http import (
-    MAX_BODY_BYTES,
-    ProtocolError,
-    Request,
-    Response,
-    error_response,
-    fetch,
-    json_response,
-    read_request,
-    render_response,
-    trace_list_query,
-)
+from .http import MAX_BODY_BYTES, ProtocolError, Request, Response, fetch, render_response
+from .service import RETRY_AFTER_S, Handler, HTTPService
 from .supervisor import ShardSupervisor
 from .vcache import VerdictCache
 
@@ -104,7 +84,6 @@ class RouterConfig:
     host: str = "127.0.0.1"
     port: int = 8076  # 0 = ephemeral (tests/benches read .bound_port)
     request_timeout_s: float = 60.0
-    retry_after_s: int = 1  # advertised on brownout 503
     max_body_bytes: int = MAX_BODY_BYTES
     trace_sample_rate: float = 0.1
     trace_capacity: int = 256
@@ -128,8 +107,6 @@ class RouterConfig:
     slo_slow_window_s: float = 300.0
     #: Declarative objectives evaluated every scrape.
     slos: tuple[SLOSpec, ...] = field(default_factory=default_slos)
-    #: Default sampling rate for GET /v1/debug/prof captures.
-    profile_hz: float = 99.0
 
     def validate(self) -> None:
         if self.request_timeout_s <= 0:
@@ -150,11 +127,9 @@ class RouterConfig:
             raise ValueError("timeseries_capacity must be at least 2")
         if not 0 < self.slo_fast_window_s < self.slo_slow_window_s:
             raise ValueError("need 0 < slo_fast_window_s < slo_slow_window_s")
-        if self.profile_hz <= 0:
-            raise ValueError("profile_hz must be positive")
 
 
-class ScanRouter:
+class ScanRouter(HTTPService):
     """HTTP front door consistent-hashing scans across supervised shards."""
 
     def __init__(
@@ -163,27 +138,20 @@ class ScanRouter:
         config: RouterConfig | None = None,
         metrics: MetricsRegistry | None = None,
     ):
-        self.config = config or RouterConfig()
-        self.config.validate()
+        config = config or RouterConfig()
+        config.validate()
+        super().__init__(
+            config, metrics, ("repro_router_request_seconds", "Wall-clock per routed request")
+        )
         self.supervisor = supervisor
-        self.metrics = metrics or MetricsRegistry()
         self.ring = HashRing(vnodes=self.config.vnodes)
         for i in range(supervisor.n_shards):
             self.ring.add(f"shard-{i}")
-        self.traces = TraceStore(
-            capacity=self.config.trace_capacity, slow_ms=self.config.trace_slow_ms
-        )
-        self.tracer = Tracer(sample_rate=self.config.trace_sample_rate, sink=self.traces.put)
         self.log = get_logger("router")
-        self._server: asyncio.AbstractServer | None = None
-        self.bound_port: int | None = None
-        self.started_at = time.time()
         self._rr = 0  # round-robin cursor for keyless endpoints
         self.verdicts = VerdictCache(
             capacity=self.config.verdict_cache_size, metrics=self.metrics
         )
-        self._m_requests: dict[tuple[str, str, int], object] = {}
-        self._m_deprecated: dict[str, object] = {}
         self._m_forwarded: dict[str, object] = {}
         for i in range(supervisor.n_shards):
             self._count_forwarded(f"shard-{i}", register_only=True)
@@ -201,21 +169,6 @@ class ScanRouter:
         self._m_brownouts = self.metrics.counter(
             "repro_router_brownouts_total", "Requests answered 503 because no shard could take them"
         )
-        self._m_latency = self.metrics.histogram(
-            "repro_router_request_seconds", "Wall-clock per routed request"
-        )
-        import platform
-
-        from repro import __version__
-
-        self.metrics.gauge(
-            "repro_build_info",
-            "Constant 1; the labels carry the build/runtime identity",
-            labels={"version": __version__, "python": platform.python_version()},
-        ).set(1)
-        self._m_uptime = self.metrics.gauge(
-            "repro_uptime_seconds", "Seconds since the server started"
-        )
         # -- fleet observability plane ----------------------------------
         self.fleet = FleetMetrics()
         self.timeseries = TimeseriesRing(capacity=self.config.timeseries_capacity)
@@ -226,13 +179,23 @@ class ScanRouter:
             metrics=self.metrics,
         )
         self.slo_status: list[SLOStatus] = []
-        self.profiler = SamplingProfiler(hz=self.config.profile_hz)
         #: Optional hook the cluster controller installs so /v1/status can
         #: report autoscaler posture without the router importing it.
         self.autoscale_status: object | None = None
         self.last_scrape_at: float | None = None
         self._m_scrape_errors: dict[str, object] = {}
         self._scrape_task: asyncio.Task | None = None
+
+    def routes(self) -> dict[str, dict[str, Handler]]:
+        return {
+            "/healthz": {"GET": self._handle_healthz},
+            "/version": {"GET": self._handle_version},
+            "/status": {"GET": self._handle_status},
+            "/scan": {"POST": self._handle_scan},
+            "/scan/batch": {"POST": self._handle_scan_batch},
+            "/analyze": {"POST": self._handle_forward_any},
+            "/admin/reload": {"POST": self._handle_admin_reload},
+        }
 
     def _count_scrape_error(self, shard_id: str) -> None:
         counter = self._m_scrape_errors.get(shard_id)
@@ -273,10 +236,7 @@ class ScanRouter:
     # -------------------------------------------------------------- lifecycle
 
     async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._on_connection, host=self.config.host, port=self.config.port
-        )
-        self.bound_port = self._server.sockets[0].getsockname()[1]
+        await super().start()
         if self.config.scrape_interval_s > 0:
             self._scrape_task = asyncio.get_running_loop().create_task(self._scrape_loop())
 
@@ -286,10 +246,7 @@ class ScanRouter:
             with contextlib.suppress(asyncio.CancelledError):
                 await self._scrape_task
             self._scrape_task = None
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        await super().stop()
 
     # ------------------------------------------------------------ federation
 
@@ -346,150 +303,33 @@ class ScanRouter:
         await asyncio.gather(*(scrape(shard_id, spec) for shard_id, spec in shards.items()))
         # The router's own registry snapshots into the same ring, so SLOs
         # are judged at the front door — where the client experience is.
-        self._m_uptime.set(round(time.time() - self.started_at, 3))
+        self._m_uptime.set(self.uptime_s())
         self.timeseries.append("router", parse_exposition(self.metrics.render()))
         self.slo_status = self.slo.evaluate(self.timeseries, "router")
         self.last_scrape_at = time.time()
-
-    # ------------------------------------------------------------ connections
-
-    async def _on_connection(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
-        try:
-            while True:
-                try:
-                    request = await read_request(reader, self.config.max_body_bytes)
-                except ProtocolError as error:
-                    writer.write(protocol_error_response(error))
-                    await writer.drain()
-                    break
-                except (asyncio.IncompleteReadError, ConnectionError):
-                    break
-                if request is None:
-                    break
-                started = time.perf_counter()
-                response, keep_alive = await self._route(request)
-                self._m_latency.observe(
-                    time.perf_counter() - started, trace_id=request.trace_id_hint
-                )
-                writer.write(response)
-                await writer.drain()
-                if not keep_alive or not request.keep_alive:
-                    break
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            with contextlib.suppress(Exception):
-                writer.close()
-                await writer.wait_closed()
-
-    def _count_request(self, method: str, path: str, status: int) -> None:
-        key = (method, path, status)
-        counter = self._m_requests.get(key)
-        if counter is None:
-            counter = self.metrics.counter(
-                "repro_http_requests_total",
-                "HTTP requests by method, path, and status",
-                labels={"method": method, "path": path, "status": str(status)},
-            )
-            self._m_requests[key] = counter
-        counter.inc()
-
-    def _count_deprecated(self, path: str) -> None:
-        counter = self._m_deprecated.get(path)
-        if counter is None:
-            counter = self.metrics.counter(
-                "repro_http_deprecated_requests_total",
-                "Requests on unprefixed legacy paths (deprecation aliases of /v1)",
-                labels={"path": path},
-            )
-            self._m_deprecated[path] = counter
-        counter.inc()
-
-    def _ok(self, request: Request, payload: dict, status: int = 200,
-            extra_headers: dict[str, str] | None = None) -> tuple[int, bytes]:
-        if request.api == "v1":
-            return status, v1_response(status, payload, extra_headers=extra_headers)
-        return status, json_response(status, payload, extra_headers=extra_headers)
-
-    def _err(self, request: Request, status: int, message: str, detail: dict | None = None,
-             extra_headers: dict[str, str] | None = None) -> tuple[int, bytes]:
-        if request.api == "v1":
-            parent = SpanContext.parse(request.traceparent)
-            return status, v1_error_response(
-                status, message, detail=detail, extra_headers=extra_headers,
-                trace_id=parent.trace_id if parent else None,
-            )
-        return status, error_response(status, message, extra_headers=extra_headers)
 
     def _brownout(self, request: Request, message: str) -> tuple[int, bytes]:
         self._m_brownouts.inc()
         return self._err(
             request, 503, message,
             detail={"state": "brownout", "shards": self.supervisor.snapshot()},
-            extra_headers={"Retry-After": str(self.config.retry_after_s)},
+            extra_headers={"Retry-After": str(RETRY_AFTER_S)},
         )
-
-    # ---------------------------------------------------------------- routing
-
-    async def _route(self, request: Request) -> tuple[bytes, bool]:
-        request.api, logical = split_api_path(request.path)
-        deprecated = request.api == "legacy" and is_legacy_alias(logical)
-        try:
-            if request.method == "POST" and logical == "/scan":
-                status, response = await self._handle_scan(request, logical)
-            elif request.method == "POST" and logical == "/scan/batch":
-                status, response = await self._handle_scan_batch(request, logical)
-            elif request.method == "POST" and logical == "/analyze":
-                status, response = await self._handle_forward_any(request, logical)
-            elif request.method == "POST" and logical == "/admin/reload" and request.api == "v1":
-                status, response = await self._handle_admin_reload(request)
-            elif request.method == "GET" and logical == "/healthz":
-                status, response = await self._handle_healthz(request)
-            elif request.method == "GET" and logical == "/version":
-                status, response = await self._handle_version(request)
-            elif request.method == "GET" and logical == "/metrics":
-                status, response = await self._handle_metrics(request)
-            elif request.method == "GET" and logical == "/status" and request.api == "v1":
-                status, response = await self._handle_status(request)
-            elif request.method == "GET" and logical == "/debug/prof" and request.api == "v1":
-                status, response = await self._handle_prof(request)
-            elif request.method == "GET" and logical.rstrip("/") == "/debug/traces":
-                status, response = await self._handle_traces_list(request)
-            elif request.method == "GET" and logical.startswith("/debug/traces/"):
-                status, response = await self._handle_trace_get(request, logical)
-            else:
-                status, response = self._err(
-                    request, 404, f"no route for {request.method} {request.path}"
-                )
-        except ProtocolError as error:
-            status, response = self._err(request, error.status, error.message)
-        except Exception as error:
-            status, response = self._err(
-                request, 500, f"internal error: {type(error).__name__}: {error}"
-            )
-        if deprecated:
-            self._count_deprecated(logical)
-            response = _inject_headers(response, deprecation_headers(logical))
-        self._count_request(request.method, request.path, status)
-        return response, status < 500 or status == 503
 
     # ------------------------------------------------------------- forwarding
 
-    def _shard_path(self, request: Request, logical: str) -> str:
+    async def _forward_once(
+        self, shard_id: str, request: Request, body: bytes | None = None
+    ) -> Response:
         """Forward on the surface the client chose — bodies pass through
         verbatim, so a legacy client gets legacy bytes back."""
-        return (V1_PREFIX + logical) if request.api == "v1" else logical
-
-    async def _forward_once(
-        self, shard_id: str, request: Request, logical: str, body: bytes | None = None
-    ) -> Response:
         spec = self.supervisor.shards[shard_id]
         headers = {}
         if request.traceparent:
             headers["traceparent"] = request.traceparent
         self._count_forwarded(shard_id)
         return await fetch(
-            spec.host, spec.port, request.method, self._shard_path(request, logical),
+            spec.host, spec.port, request.method, request.path,
             body=request.body if body is None else body,
             headers=headers, timeout_s=self.config.request_timeout_s,
         )
@@ -524,7 +364,7 @@ class ScanRouter:
         return [shard_id for shard_id in order if shard_id not in unhealthy]
 
     async def _forward_with_retries(
-        self, request: Request, logical: str, key: str | None, body: bytes | None = None
+        self, request: Request, key: str | None, body: bytes | None = None
     ) -> tuple[int, bytes, str | None]:
         """The failover loop every forwarded request goes through.
 
@@ -541,7 +381,7 @@ class ScanRouter:
             error: BaseException | None = None
             response: Response | None = None
             try:
-                response = await self._forward_once(shard_id, request, logical, body=body)
+                response = await self._forward_once(shard_id, request, body=body)
             except asyncio.CancelledError:
                 raise
             except Exception as caught:
@@ -583,7 +423,7 @@ class ScanRouter:
             return None
         return (options,)
 
-    async def _handle_scan(self, request: Request, logical: str) -> tuple[int, bytes]:
+    async def _handle_scan(self, request: Request) -> tuple[int, bytes]:
         payload = request.json()
         if not isinstance(payload, dict):
             raise ProtocolError(400, "request body must be a JSON object")
@@ -619,9 +459,7 @@ class ScanRouter:
                 # this trace id (the shard always records a sampled parent).
                 request.headers["traceparent"] = root.context.to_traceparent()
                 request.trace_id_hint = root.context.trace_id
-            status, rendered, shard_id = await self._forward_with_retries(
-                request, logical, key
-            )
+            status, rendered, shard_id = await self._forward_with_retries(request, key)
             root.set_attribute("status", status)
             if status >= 500:
                 root.set_status("error", f"answered {status}")
@@ -636,7 +474,7 @@ class ScanRouter:
                     self.verdicts.put(key, options, entry, shard_id)
         return status, rendered
 
-    async def _handle_scan_batch(self, request: Request, logical: str) -> tuple[int, bytes]:
+    async def _handle_scan_batch(self, request: Request) -> tuple[int, bytes]:
         payload = request.json()
         if not isinstance(payload, dict):
             raise ProtocolError(400, "request body must be a JSON object")
@@ -680,7 +518,7 @@ class ScanRouter:
                 # Sub-batches keep affinity via their first key but may fail
                 # over along its replica set — correctness over affinity.
                 status, rendered, _served_by = await self._forward_with_retries(
-                    request, logical, content_key(sources[indices[0]]), body=body
+                    request, content_key(sources[indices[0]]), body=body
                 )
                 return indices, status, rendered
 
@@ -710,10 +548,10 @@ class ScanRouter:
                 "trace_id": root.context.trace_id,
                 "results": merged,
             }
-        return self._ok(request, body_out, extra_headers={
-            "X-Trace-Id": root.context.trace_id,
-            "traceparent": root.context.to_traceparent(),
-        })
+        return self._ok(
+            request, body_out, trace_id=root.context.trace_id,
+            extra_headers=self._trace_headers(root),
+        )
 
     def _unwrap(self, request: Request, rendered: bytes) -> dict:
         """Pull the JSON payload back out of a passthrough-rendered response."""
@@ -729,8 +567,8 @@ class ScanRouter:
             return shard_id
         return None
 
-    async def _handle_forward_any(self, request: Request, logical: str) -> tuple[int, bytes]:
-        status, rendered, _served_by = await self._forward_with_retries(request, logical, None)
+    async def _handle_forward_any(self, request: Request) -> tuple[int, bytes]:
+        status, rendered, _served_by = await self._forward_with_retries(request, None)
         return status, rendered
 
     async def _handle_admin_reload(self, request: Request) -> tuple[int, bytes]:
@@ -774,7 +612,7 @@ class ScanRouter:
             "n_shards": len(shards),
             "n_healthy": healthy,
             "replicas": self.config.replicas,
-            "uptime_s": round(time.time() - self.started_at, 3),
+            "uptime_s": self.uptime_s(),
             "verdict_cache": {
                 "size": len(self.verdicts),
                 "capacity": self.verdicts.capacity,
@@ -800,21 +638,18 @@ class ScanRouter:
             },
         })
 
-    async def _handle_metrics(self, request: Request) -> tuple[int, bytes]:
-        self._m_uptime.set(round(time.time() - self.started_at, 3))
+    def _exposition(self, request: Request) -> str:
         mode = request.query.get("aggregate")
         if mode is None:
-            body = self.metrics.render().encode("utf-8")
-        elif mode in AGGREGATE_MODES:
-            # The router's own families join the merge fresh — never a
-            # scrape-interval stale — under the member name "router".
-            extra = {"router": parse_exposition(self.metrics.render())}
-            body = self.fleet.render(mode, extra=extra).encode("utf-8")
-        else:
+            return self.metrics.render()
+        if mode not in AGGREGATE_MODES:
             raise ProtocolError(
                 400, f'"aggregate" must be one of {", ".join(AGGREGATE_MODES)}'
             )
-        return 200, render_response(200, body, content_type=MetricsRegistry.CONTENT_TYPE)
+        # The router's own families join the merge fresh — never a
+        # scrape-interval stale — under the member name "router".
+        extra = {"router": parse_exposition(self.metrics.render())}
+        return self.fleet.render(mode, extra=extra)
 
     def _shard_stats(self, shard_id: str) -> dict:
         """One fleet member's windowed numbers for /v1/status and `repro top`."""
@@ -864,7 +699,7 @@ class ScanRouter:
         payload = {
             "status": "ok" if healthy == len(shards) else ("degraded" if healthy else "down"),
             "role": "router",
-            "uptime_s": round(time.time() - self.started_at, 3),
+            "uptime_s": self.uptime_s(),
             "router": {
                 "rps": round(router_rps, 3) if router_rps is not None else None,
                 "p95_ms": round(router_p95 * 1000.0, 3) if router_p95 is not None else None,
@@ -894,44 +729,13 @@ class ScanRouter:
         }
         return self._ok(request, payload)
 
-    async def _handle_prof(self, request: Request) -> tuple[int, bytes]:
-        try:
-            seconds = float(request.query.get("seconds", "1"))
-            hz = float(request.query["hz"]) if "hz" in request.query else None
-        except ValueError as error:
-            raise ProtocolError(400, '"seconds" and "hz" must be numbers') from error
-        if seconds <= 0 or (hz is not None and hz <= 0):
-            raise ProtocolError(400, '"seconds" and "hz" must be positive')
-        loop = asyncio.get_running_loop()
-        report = await loop.run_in_executor(
-            None, lambda: self.profiler.profile(seconds, hz=hz)
-        )
-        return 200, render_response(
-            200, report.collapsed().encode("utf-8"), content_type="text/plain; charset=utf-8"
-        )
-
-    async def _handle_traces_list(self, request: Request) -> tuple[int, bytes]:
-        filters = trace_list_query(request)
-        payload = {
-            "traces": self.traces.list(
-                max(1, min(filters["n"], self.traces.capacity)),
-                slow_ms=filters["slow_ms"],
-                status=filters["status"],
-            ),
-            "stored": self.traces.stored,
-            "evicted": self.traces.evicted,
-            "sample_rate": self.config.trace_sample_rate,
-        }
-        return self._ok(request, payload)
-
-    async def _handle_trace_get(self, request: Request, logical: str) -> tuple[int, bytes]:
+    async def _trace_record(self, trace_id: str) -> dict | None:
         """One merged cross-process trace: router spans + every shard's.
 
         The router's hop and each shard's hop were recorded under the
-        same trace id (propagated ``traceparent``); this endpoint is
-        where they come back together.
+        same trace id (propagated ``traceparent``); this lookup is where
+        they come back together.
         """
-        trace_id = logical.rstrip("/").rsplit("/", 1)[-1]
         record = self.traces.get(trace_id)
         merged_spans = list(record["spans"]) if record else []
         shard_records: dict[str, dict] = {}
@@ -957,12 +761,10 @@ class ScanRouter:
                 span["attributes"]["shard"] = shard_id
                 merged_spans.append(span)
         if not merged_spans:
-            return self._err(
-                request, 404, f"trace {trace_id!r} not found (expired or unsampled)"
-            )
+            return None
         from repro.obs.trace import span_tree
 
-        payload = {
+        return {
             "trace_id": trace_id,
             "n_spans": len(merged_spans),
             "router": {k: v for k, v in (record or {}).items() if k not in ("spans", "tree")},
@@ -970,4 +772,3 @@ class ScanRouter:
             "spans": merged_spans,
             "tree": span_tree(merged_spans),
         }
-        return self._ok(request, payload)

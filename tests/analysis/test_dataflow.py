@@ -314,11 +314,7 @@ class TestAcceptance:
     """ISSUE 8's headline: the engine sees through obfuscator.io dispatch."""
 
     def test_obfuscator_io_flow_found_only_by_dataflow(self):
-        from repro.analysis import legacy_rules
-
         source = (EXAMPLES / "obfuscated" / "obfuscator_io.js").read_text()
-        legacy = Analyzer(rules=legacy_rules()).analyze(source, "obf.js")
-        assert not legacy.decisive  # the PR 3 catalog misses it
         report = analyze_source(source)
         dispatch = [f for f in report.findings if f.rule_id == "flow-tainted-dispatch"]
         assert report.decisive and dispatch

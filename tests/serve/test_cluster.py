@@ -205,6 +205,27 @@ def test_router_golden_404(cluster):
     assert json.loads(body)["error"]["code"] == "not_found"
 
 
+def test_router_golden_405(cluster):
+    # A wrong verb on a routed path is 405 with the daemon's Allow value,
+    # on both surfaces; the legacy alias keeps its deprecation headers.
+    for method, path in [
+        ("GET", "/v1/scan"),
+        ("POST", "/v1/healthz"),
+        ("PUT", "/v1/debug/traces"),
+        ("GET", "/scan"),
+    ]:
+        status, headers, body = http_raw(cluster, method, path)
+        assert status == 405, (method, path)
+        assert headers["allow"] == "GET, POST"
+        error = json.loads(body)["error"]
+        if path.startswith("/v1/"):
+            assert error["code"] == "method_not_allowed"
+            assert "deprecation" not in headers
+        else:
+            assert error["status"] == 405
+            assert headers["deprecation"] == "true"
+
+
 def test_router_golden_413(cluster):
     big = {"source": "x" * (128 * 1024)}
     status, _headers, body = http_raw(cluster, "POST", "/v1/scan", big)

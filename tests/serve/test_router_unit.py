@@ -402,6 +402,36 @@ def test_verdict_cache_disabled_bypasses():
     asyncio.run(main())
 
 
+def test_batch_envelope_carries_the_router_trace_id():
+    from repro.serve.api import v1_response
+
+    canned = v1_response(200, {
+        "n_files": 1,
+        "n_malicious": 0,
+        "threshold": 0.5,
+        "model_fingerprint": "canned",
+        "trace_id": None,
+        "results": [{"verdict": "benign", "malicious": False, "probability": 0.1}],
+    })
+
+    async def main():
+        router, supervisor, servers, _hits = await boot({"shard-0": canned, "shard-1": canned})
+        try:
+            body = json.dumps({"scripts": [SOURCE]}).encode("utf-8")
+            response = await fetch(
+                "127.0.0.1", router.bound_port, "POST", "/v1/scan/batch", body=body
+            )
+            assert response.status == 200
+            envelope = json.loads(response.body)
+            assert envelope["trace_id"]
+            assert envelope["trace_id"] == envelope["data"]["trace_id"]
+            assert envelope["trace_id"] == response.headers["x-trace-id"]
+        finally:
+            await teardown(router, servers)
+
+    asyncio.run(main())
+
+
 def test_router_healthz_reports_replicas_and_cache():
     async def main():
         router, supervisor, servers, _hits = await boot({

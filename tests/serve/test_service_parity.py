@@ -1,0 +1,141 @@
+"""The daemon and the router answer through one service layer.
+
+API.md promises that a client written against a single daemon talks to
+the cluster router unchanged.  Both run on :class:`HTTPService`, so every
+answer the layer itself gives — 404, 405 with ``Allow``, v1-only routes,
+``ProtocolError`` renderings, ``/debug/prof`` and trace lookups — must
+agree between them probe by probe, and the request counters must stay
+bounded however many distinct paths and verbs clients send.
+"""
+
+import http.client
+import json
+
+import pytest
+
+from repro.core import JSRevealer, JSRevealerConfig
+from repro.datasets import experiment_split
+from repro.serve import BackgroundServer, RouterConfig, ScanRouter, ServeConfig
+from repro.serve.service import BackgroundService
+from repro.serve.supervisor import free_port
+
+from .test_router_unit import FakeSupervisor
+
+TRACE_ID = "0" * 32
+
+#: (method, path, body, expected status)
+PROBES = [
+    ("GET", "/v1/no/such/route", None, 404),
+    ("GET", "/no/such/route", None, 404),
+    ("GET", "/v1/scan", None, 405),
+    ("POST", "/v1/healthz", None, 405),
+    ("PUT", "/v1/debug/traces", None, 405),
+    ("GET", "/scan", None, 405),
+    ("POST", "/admin/reload", '{"model_dir": "/nope"}', 404),
+    ("GET", f"/v1/debug/traces/{TRACE_ID}", None, 404),
+    ("GET", "/v1/debug/prof?seconds=abc", None, 400),
+    ("POST", "/v1/scan", "{not json", 400),
+    ("GET", "/v1/debug/prof?seconds=0.05&threads=no-such-thread", None, 200),
+]
+
+
+class BackgroundRouter(BackgroundService):
+    """A router whose shards are dead ports: nothing here may forward."""
+
+    what = "router"
+
+    def _build(self) -> ScanRouter:
+        supervisor = FakeSupervisor([free_port(), free_port()])
+        return ScanRouter(supervisor, self.config)
+
+
+@pytest.fixture(scope="module")
+def detector():
+    split = experiment_split(seed=7, pretrain_per_class=6, train_per_class=12, test_per_class=8)
+    det = JSRevealer(JSRevealerConfig(embed_dim=16, pretrain_epochs=3, k_benign=4, k_malicious=4, seed=7))
+    det.pretrain(split.pretrain.sources, split.pretrain.labels)
+    det.fit(split.train.sources, split.train.labels)
+    return det
+
+
+@pytest.fixture()
+def daemon(detector):
+    with BackgroundServer(detector, ServeConfig(port=0, max_batch=4, queue_limit=32)) as background:
+        yield background
+
+
+@pytest.fixture()
+def router():
+    config = RouterConfig(port=0, request_timeout_s=5.0, scrape_interval_s=0)
+    with BackgroundRouter(config) as background:
+        yield background
+
+
+def call(background, method, path, body=None):
+    """One request on a fresh connection: (status, lower-cased headers, body)."""
+    connection = http.client.HTTPConnection(background.host, background.port, timeout=30)
+    headers = {"Content-Type": "application/json"} if body is not None else {}
+    connection.request(method, path, body=body, headers=headers)
+    response = connection.getresponse()
+    data = response.read()
+    status, header_map = response.status, {k.lower(): v for k, v in response.getheaders()}
+    connection.close()
+    return status, header_map, data
+
+
+def shape(status, headers, body):
+    """What the parity contract compares."""
+    if headers["content-type"].startswith("application/json"):
+        code = json.loads(body)["error"].get("code") if status >= 400 else None
+    else:
+        code = None
+    return status, code, headers.get("allow"), "deprecation" in headers
+
+
+def test_daemon_and_router_answer_alike(daemon, router):
+    for method, path, body, expected in PROBES:
+        on_daemon = call(daemon, method, path, body)
+        on_router = call(router, method, path, body)
+        assert on_daemon[0] == expected, (method, path, on_daemon)
+        assert shape(*on_daemon) == shape(*on_router), (method, path, on_daemon, on_router)
+        if expected == 405:
+            assert on_router[1]["allow"] == "GET, POST"
+            assert (path == "/scan") == ("deprecation" in on_router[1])
+    for background in (daemon, router):
+        status, _headers, body = call(
+            background, "GET", "/v1/debug/prof?seconds=0.05&threads=no-such-thread"
+        )
+        assert status == 200
+        lines = body.decode("utf-8").splitlines()
+        assert lines and all(line.startswith("#") for line in lines), body
+
+
+def series(background, family):
+    _status, _headers, body = call(background, "GET", "/v1/metrics")
+    return {
+        line.rsplit(" ", 1)[0]
+        for line in body.decode("utf-8").splitlines()
+        if line.startswith(family + "{")
+    }
+
+
+@pytest.mark.parametrize("service", ["daemon", "router"])
+def test_request_metric_labels_stay_bounded(service, request):
+    background = request.getfixturevalue(service)
+    requests_before = series(background, "repro_http_requests_total")
+    deprecated_before = series(background, "repro_http_deprecated_requests_total")
+    for i in range(50):
+        call(background, "GET", f"/v1/nope/{i}" if i % 2 else f"/nope/{i}")
+        call(background, "GET", f"/v1/debug/traces/{i:032x}")
+        call(background, "GET", f"/debug/traces/{i:032x}")
+    for method in ("BREW", "FROB", "PATCH", "PURGE", "WHATEVER"):
+        assert call(background, method, "/v1/healthz")[0] == 405
+    requests_new = series(background, "repro_http_requests_total") - requests_before
+    deprecated_new = series(background, "repro_http_deprecated_requests_total") - deprecated_before
+    assert len(requests_new) <= 6, sorted(requests_new)
+    assert len(deprecated_new) <= 2, sorted(deprecated_new)
+    rendered = "\n".join(sorted(requests_new | deprecated_new))
+    assert 'path="<unmatched>"' in rendered
+    assert 'path="/v1/debug/traces/<id>"' in rendered
+    assert 'path="/debug/traces/<id>"' in rendered
+    assert 'method="<other>"' in rendered
