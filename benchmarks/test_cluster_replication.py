@@ -18,9 +18,6 @@ direction.  Two claims:
 import json
 import os
 import pathlib
-import signal
-import threading
-import time
 
 import pytest
 
@@ -38,6 +35,8 @@ from repro.serve import (
     RouterConfig,
     run_load,
 )
+
+from .test_serve_bench import ShardKiller
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -123,12 +122,7 @@ def test_replica_failover_and_autoscale(benchmark, saved_model_dir, replication_
         with BackgroundCluster(config) as cluster:
             client = ScanClient(cluster.url, retries=0)
             victim = client.healthz()["shards"][0]
-
-            def kill_soon():
-                time.sleep(0.3)  # let the load settle in first
-                os.kill(victim["pid"], signal.SIGKILL)
-
-            killer = threading.Thread(target=kill_soon, daemon=True)
+            killer = ShardKiller(client, victim["pid"], len(scripts) * 3)
             killer.start()
             # retries=0 is the whole point: the CLIENT never retries —
             # any surviving request survived because the ROUTER failed
@@ -136,12 +130,13 @@ def test_replica_failover_and_autoscale(benchmark, saved_model_dir, replication_
             report = run_load(
                 cluster.host, cluster.port, scripts, concurrency=8, repeats=3, retries=0
             )
+            killer.load_done.set()
             killer.join()
             metrics = client.metrics_text()
             health = client.healthz()
-        return report, metrics, health, victim
+        return report, metrics, health, victim, killer
 
-    report, metrics, health, victim = benchmark.pedantic(run, rounds=1, iterations=1)
+    report, metrics, health, victim, killer = benchmark.pedantic(run, rounds=1, iterations=1)
 
     print("\nreplica failover under load: " + report.summary())
 
@@ -154,6 +149,7 @@ def test_replica_failover_and_autoscale(benchmark, saved_model_dir, replication_
 
     assert report.errors == 0, report.summary()
     assert report.requests == len(scripts) * 3
+    killer.assert_killed_under_load(report.requests)
     assert total_failovers >= 1, "the kill must be visible as replica failovers"
     victim_after = {s["shard"]: s for s in health["shards"]}[victim["shard"]]
     assert victim_after["restarts"] >= 1 or victim_after["pid"] != victim["pid"]
@@ -193,6 +189,7 @@ def test_replica_failover_and_autoscale(benchmark, saved_model_dir, replication_
             "router_failovers_total": total_failovers,
             "router_failovers_by_reason": failovers,
             "victim": victim["shard"],
+            "answered_at_kill": int(killer.answered_at_kill),
         },
         "autoscale_simulation": {
             "config": {

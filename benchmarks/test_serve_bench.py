@@ -31,7 +31,57 @@ from repro.bench import (
 from repro.client import ScanClient
 from repro.core import JSRevealer, save_detector
 from repro.datasets import experiment_split
-from repro.serve import BackgroundCluster, BackgroundServer, ClusterConfig, ServeConfig, run_load
+from repro.serve import (
+    BackgroundCluster,
+    BackgroundServer,
+    ClusterConfig,
+    RouterConfig,
+    ServeConfig,
+    run_load,
+)
+
+
+def metric_total(exposition: str, name: str, label: str = "") -> float:
+    """Sum of every ``name`` sample whose label set contains ``label``."""
+    return sum(
+        float(line.rsplit(" ", 1)[1])
+        for line in exposition.splitlines()
+        if line.startswith((name + "{", name + " ")) and label in line
+    )
+
+
+class ShardKiller(threading.Thread):
+    """SIGKILL one shard once the router has forwarded a third of the load.
+
+    A fixed sleep can fire after a fast load has already finished; waiting
+    on the router's ``repro_router_forwarded_total`` puts the kill inside
+    the load however fast the fleet answers.  Right after the kill it reads
+    how many scans the router had answered: fewer than the whole load
+    proves the kill came before the last response.
+    """
+
+    def __init__(self, client: ScanClient, pid: int, n_requests: int):
+        super().__init__(daemon=True)
+        self.client, self.pid, self.n_requests = client, pid, n_requests
+        self.load_done = threading.Event()
+        self.answered_at_kill: float | None = None
+
+    def run(self) -> None:
+        while not self.load_done.is_set():
+            forwarded = metric_total(self.client.metrics_text(), "repro_router_forwarded_total")
+            if 3 * forwarded >= self.n_requests:
+                os.kill(self.pid, signal.SIGKILL)
+                self.answered_at_kill = metric_total(
+                    self.client.metrics_text(), "repro_http_requests_total", 'path="/v1/scan"'
+                )
+                return
+            time.sleep(0.005)
+
+    def assert_killed_under_load(self, answered: int) -> None:
+        assert self.answered_at_kill is not None, "the load ended before the kill fired"
+        assert self.answered_at_kill < answered, (
+            f"kill after the last response ({self.answered_at_kill:g} of {answered} answered)"
+        )
 
 
 @pytest.mark.table
@@ -247,32 +297,36 @@ def test_shard_kill_under_load_zero_failed_requests(benchmark, saved_model_dir, 
     """
     sources = cluster_split.test.sources[:16]
     scripts = [(f"<kill:{i}>", source) for i, source in enumerate(sources)]
-    config = ClusterConfig(model_dir=saved_model_dir, n_shards=2, port=0)
+    config = ClusterConfig(
+        model_dir=saved_model_dir,
+        n_shards=2,
+        port=0,
+        # Repeat passes would be verdict-cache hits that never reach a
+        # shard, dead or alive.
+        router=RouterConfig(verdict_cache_size=0),
+    )
 
     def run():
         with BackgroundCluster(config) as cluster:
             client = ScanClient(cluster.url, retries=2)
             victim = client.healthz()["shards"][0]
-
-            def kill_soon():
-                time.sleep(0.3)  # let the load settle in first
-                os.kill(victim["pid"], signal.SIGKILL)
-
-            killer = threading.Thread(target=kill_soon, daemon=True)
+            killer = ShardKiller(client, victim["pid"], len(scripts) * 3)
             killer.start()
             report = run_load(
                 cluster.host, cluster.port, scripts, concurrency=8, repeats=3, retries=2
             )
+            killer.load_done.set()
             killer.join()
             health = client.healthz()
-        return report, health, victim
+        return report, health, victim, killer
 
-    report, health, victim = benchmark.pedantic(run, rounds=1, iterations=1)
+    report, health, victim, killer = benchmark.pedantic(run, rounds=1, iterations=1)
 
     print("\nshard kill under load: " + report.summary())
 
     assert report.errors == 0, report.summary()
     assert report.requests == len(scripts) * 3
+    killer.assert_killed_under_load(report.requests)
     # The kill really happened while the fleet was serving: the victim's
     # slot shows a restart (replacement may still be booting — that's
     # fine, the zero-error claim above is the contract under test).

@@ -769,7 +769,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="scan shard daemons behind the router")
     cluster.add_argument("--cache-dir", default=None,
                          help="on-disk embedding cache shared by all shards "
-                              "(enables cluster-wide single-flight dedup)")
+                              "(each reads the others' entries; no locking)")
     cluster.add_argument("--workers", type=int, default=1,
                          help="worker processes per shard")
     cluster.add_argument("--max-batch", type=int, default=8,

@@ -20,6 +20,9 @@ Workers apply :func:`~repro.faults.limits.apply_rlimits` at bootstrap and
 answer each task with either an ``ok`` payload or a structured fault; the
 parent never trusts a worker to stay alive and enforces wall-clock
 deadlines itself via ``multiprocessing.connection.wait`` + SIGKILL.
+Workers record no spans: an :class:`Outcome` carries the task's measured
+run time and the answering worker's pid, and the caller builds its
+``worker.<kind>`` span from those (see :class:`~repro.pipeline.BatchScanner`).
 """
 
 from __future__ import annotations
@@ -58,10 +61,8 @@ class Task:
     index: int
     source: str
     name: str = "<script>"
-    #: W3C ``traceparent`` of the caller's per-file span.  When set, the
-    #: worker records its own spans (parented to this context) and ships
-    #: them back in the reply; ``None`` disables worker-side tracing.
-    traceparent: str | None = None
+    #: Embed tasks: ship the top attention paths back as provenance.
+    capture_paths: bool = False
 
 
 @dataclass
@@ -75,11 +76,8 @@ class Outcome:
     cause: str | None = None  # FAULT_CAUSES member when not ok
     detail: str | None = None
     rusage: dict | None = None
-    elapsed_ms: float = 0.0
-    #: Span dicts recorded inside the worker (already parented to the
-    #: task's ``traceparent``); ``None`` when tracing was off or the
-    #: worker died before replying.
-    spans: list[dict] | None = None
+    elapsed_ms: float = 0.0  # the task's run time, measured in the worker
+    pid: int | None = None  # the worker that replied; ``None`` when none did
 
 
 class EmbedPayload(NamedTuple):
@@ -195,56 +193,6 @@ def _top_attention_paths(contexts, kept, weights, k: int = 5) -> list[dict]:
     ]
 
 
-def _worker_spans(traceparent: str | None, kind: str, elapsed_ms: float, payload: Any) -> list[dict] | None:
-    """Span dicts for one completed task, parented to the caller's context.
-
-    The worker cannot share the parent's clock or tracer, so spans are
-    reconstructed from the stage timings it already measures: a
-    ``worker.<kind>`` root under the task's ``traceparent``, with
-    ``path_extraction``/``embedding`` children for embed tasks.  Returns
-    ``None`` when tracing is off or the header is malformed.
-    """
-    if traceparent is None:
-        return None
-    import os
-
-    from repro.obs.trace import SpanContext, new_span_id
-
-    ctx = SpanContext.parse(traceparent)
-    if ctx is None:
-        return None
-    ended = time.time()
-    root_start = ended - elapsed_ms / 1000.0
-    root_id = new_span_id()
-
-    def span(name: str, parent_id: str, start: float, duration_ms: float, **attrs) -> dict:
-        return {
-            "name": name,
-            "trace_id": ctx.trace_id,
-            "span_id": new_span_id(),
-            "parent_id": parent_id,
-            "start_unix": round(start, 6),
-            "duration_ms": round(duration_ms, 3),
-            "attributes": attrs,
-            "events": [],
-            "status": "ok",
-        }
-
-    root = span(f"worker.{kind}", ctx.span_id, root_start, elapsed_ms, pid=os.getpid())
-    root["span_id"] = root_id
-    spans = [root]
-    if kind == "embed" and isinstance(payload, EmbedPayload):
-        spans.append(
-            span("path_extraction", root_id, root_start, payload.extract_ms, status=payload.status)
-        )
-        spans.append(
-            span(
-                "embedding", root_id, root_start + payload.extract_ms / 1000.0, payload.embed_ms
-            )
-        )
-    return spans
-
-
 def _worker_main(conn, embed_init: dict | None, limits_dict: dict | None) -> None:
     """Worker loop: apply rlimits, then answer tasks until told to stop."""
     limits = ScanLimits.from_dict(limits_dict)
@@ -259,14 +207,14 @@ def _worker_main(conn, embed_init: dict | None, limits_dict: dict | None) -> Non
             return
         if message is None:
             return
-        kind, index, source, name, traceparent = message
+        kind, index, source, name, capture_paths = message
         started = time.perf_counter()
         try:
             if kind == "embed":
                 if embed_state is None:
                     embed_state = _build_embed_state(embed_init)
                 maybe_inject(source, stage="embed")
-                payload = _run_embed(embed_state, source, capture_paths=traceparent is not None)
+                payload = _run_embed(embed_state, source, capture_paths)
             elif kind == "analyze":
                 if analyzer is None:
                     from repro.analysis import Analyzer
@@ -286,14 +234,8 @@ def _worker_main(conn, embed_init: dict | None, limits_dict: dict | None) -> Non
         except Exception as error:
             reply = (index, kind, "fault", None, CAUSE_CRASHED, f"{type(error).__name__}: {error}")
         elapsed_ms = 1000.0 * (time.perf_counter() - started)
-        spans = None
-        if reply[2] == "ok":
-            try:
-                spans = _worker_spans(traceparent, kind, elapsed_ms, reply[3])
-            except Exception:
-                spans = None  # tracing must never fail a healthy task
         try:
-            conn.send(reply + (spans, read_rusage(), elapsed_ms))
+            conn.send(reply + (read_rusage(), elapsed_ms))
         except Exception:
             # Can't even report (pipe gone, reply unpicklable): die loudly so
             # the parent's death classifier takes over.
@@ -325,7 +267,7 @@ class _Worker:
     def assign(self, task: Task, timeout_s: float | None) -> None:
         self.task = task
         self.deadline = time.monotonic() + timeout_s if timeout_s is not None else None
-        self.conn.send((task.kind, task.index, task.source, task.name, task.traceparent))
+        self.conn.send((task.kind, task.index, task.source, task.name, task.capture_paths))
 
     def clear(self) -> None:
         self.task = None
@@ -425,10 +367,12 @@ class IsolatedPool:
     # ------------------------------------------------------------------- run
 
     def run(self, tasks: list[Task]) -> list[Outcome]:
-        """Execute every task; always returns one outcome per task.
+        """Execute every task; always returns one outcome per task, in task order.
 
         Faulted tasks come back with a classified cause instead of raising;
-        the pool itself survives any combination of hangs and deaths.
+        the pool itself survives any combination of hangs and deaths.  A
+        replied outcome carries the worker's pid and the task's run time
+        as the worker measured it.
         """
         if not tasks:
             return []
@@ -486,7 +430,7 @@ class IsolatedPool:
                     except (EOFError, OSError):
                         reply = None  # died mid-send; classified below
                     if reply is not None:
-                        index, kind, verdict, payload, cause, detail, spans, rusage, elapsed = reply
+                        index, kind, verdict, payload, cause, detail, rusage, elapsed = reply
                         outcomes[(kind, index)] = Outcome(
                             index=index,
                             kind=kind,
@@ -496,7 +440,7 @@ class IsolatedPool:
                             detail=detail,
                             rusage=rusage,
                             elapsed_ms=elapsed,
-                            spans=spans,
+                            pid=worker.process.pid,
                         )
                         worker.clear()
                         idle.append(worker)

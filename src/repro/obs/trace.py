@@ -21,9 +21,8 @@ per-request layer underneath that question:
   until capacity forces them out, fast traces are the first evicted.
 
 Spans deliberately serialize to plain dicts rather than a class hierarchy:
-they must cross process boundaries in worker reply envelopes
-(:mod:`repro.faults.workers`), be grafted between traces by the daemon,
-and round-trip through JSON on the debug endpoints.
+they are grafted between traces by the daemon, merged across shards by
+the router, and round-trip through JSON on the debug endpoints.
 """
 
 from __future__ import annotations
@@ -180,24 +179,25 @@ class Span:
         name: str,
         duration_ms: float,
         parent_id: str | None = None,
-        span_id: str | None = None,
         attributes: dict | None = None,
         events: list[dict] | None = None,
         status: str = "ok",
         status_detail: str | None = None,
+        start_unix: float | None = None,
     ) -> dict:
         """Record an already-finished span (timing measured elsewhere).
 
         Used for stages whose cost is known only as a measured duration —
-        per-file stage timings, worker-side work that never reported back —
-        and returns the dict so callers can parent further spans to it.
+        per-file stage timings, work done in a pool worker — and returns
+        the dict so callers can parent further spans to it.  ``start_unix``
+        defaults to now.
         """
         span_dict = {
             "name": name,
             "trace_id": self.trace_id,
-            "span_id": span_id or new_span_id(),
+            "span_id": new_span_id(),
             "parent_id": parent_id or self.span_id,
-            "start_unix": round(time.time(), 6),
+            "start_unix": round(time.time() if start_unix is None else start_unix, 6),
             "duration_ms": round(float(duration_ms), 3),
             "attributes": dict(attributes or {}),
             "events": list(events or []),

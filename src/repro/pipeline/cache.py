@@ -20,7 +20,10 @@ output is cacheable under a content address:
 Two layers: a bounded in-memory LRU (always on) and an optional on-disk
 layer under ``cache_dir/v<CACHE_FORMAT_VERSION>/<fingerprint>/`` that
 survives across processes — the second CLI run over the same corpus skips
-extraction entirely.
+extraction entirely.  Processes sharing one ``cache_dir`` (cluster shards)
+take no locks: two that miss one key at the same moment both compute it,
+and write-then-rename makes either copy a whole, identical archive.  The
+router's consistent hashing already sends each key to one owner.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from __future__ import annotations
 import hashlib
 import os
 import tempfile
-import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
@@ -104,15 +106,7 @@ class FeatureCache:
         self.disk_hits = 0
         self.evictions = 0
         self.corrupt = 0
-        self.flights_led = 0
-        self.flights_followed = 0
-        #: A leader that died mid-compute leaves its lock behind; locks
-        #: older than this are broken and the key re-led.  Generous: the
-        #: paper's worst-case per-script pipeline is ~1 s, so 30 s of age
-        #: only ever means a dead process, not a slow one.
-        self.flight_stale_s = 30.0
         self._m_hits = self._m_misses = self._m_evictions = self._m_corrupt = None
-        self._m_flight_leader = self._m_flight_follower = None
         if metrics is not None:
             self._m_hits = metrics.counter(
                 "repro_cache_lookups_total", "Embedding-cache lookups", labels={"result": "hit"}
@@ -126,16 +120,6 @@ class FeatureCache:
             self._m_corrupt = metrics.counter(
                 "repro_cache_corrupt_total",
                 "Disk-cache files rejected (truncated, bit-flipped, or wrong format version)",
-            )
-            self._m_flight_leader = metrics.counter(
-                "repro_cache_singleflight_total",
-                "Cross-process single-flight claims on the shared disk cache",
-                labels={"role": "leader"},
-            )
-            self._m_flight_follower = metrics.counter(
-                "repro_cache_singleflight_total",
-                "Cross-process single-flight claims on the shared disk cache",
-                labels={"role": "follower"},
             )
 
     def __len__(self) -> int:
@@ -236,91 +220,6 @@ class FeatureCache:
             except OSError:
                 pass
 
-    # ---------------------------------------------------------- single-flight
-    #
-    # Several cluster shards share one ``cache_dir``.  When the same
-    # never-seen script is in flight on two shards at once (a batch fanned
-    # out, or a retry after a shard death), only one of them should pay
-    # for extraction + embedding.  The claim is a lock file next to the
-    # entry (``<key>.lock``, created O_CREAT|O_EXCL — atomic on every
-    # POSIX filesystem): whoever creates it is the **leader** and
-    # computes; everyone else is a **follower** and polls for the entry
-    # the leader will write.  Locks are advisory and self-healing — a
-    # leader that died mid-compute is detected by lock age and replaced.
-
-    def _flight_path(self, key: str) -> Path | None:
-        return self._disk_root / f"{key}.lock" if self._disk_root is not None else None
-
-    def acquire_flight(self, key: str) -> bool:
-        """Claim one key; ``True`` → this process computes (leader).
-
-        Without a disk layer there is nobody to share with, so every
-        caller is trivially a leader and :meth:`release_flight` a no-op.
-        """
-        path = self._flight_path(key)
-        if path is None:
-            return True
-        for _ in range(3):  # claim → stale-break → claim again
-            try:
-                fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                try:
-                    age = time.time() - path.stat().st_mtime
-                except OSError:
-                    continue  # holder released between open and stat; re-claim
-                if age > self.flight_stale_s:
-                    try:
-                        path.unlink()
-                    except OSError:
-                        pass
-                    continue
-                self.flights_followed += 1
-                if self._m_flight_follower is not None:
-                    self._m_flight_follower.inc()
-                return False
-            except OSError:
-                return True  # unwritable cache dir: degrade to no coordination
-            with os.fdopen(fd, "w") as handle:
-                handle.write(str(os.getpid()))
-            self.flights_led += 1
-            if self._m_flight_leader is not None:
-                self._m_flight_leader.inc()
-            return True
-        self.flights_followed += 1
-        if self._m_flight_follower is not None:
-            self._m_flight_follower.inc()
-        return False
-
-    def wait_flight(self, key: str, timeout_s: float = 10.0, poll_s: float = 0.02) -> CacheEntry | None:
-        """Follower side: wait for the leader's entry (or its death).
-
-        Returns the entry once the leader publishes it, or ``None`` if
-        the leader released without publishing (it faulted) or the
-        timeout lapses — either way the caller computes locally, which
-        is always correct, just not deduplicated.
-        """
-        path = self._flight_path(key)
-        if path is None:
-            return None
-        deadline = time.monotonic() + timeout_s
-        while True:
-            entry = self._disk_get(key)
-            if entry is not None:
-                self._remember(key, entry)
-                return entry
-            if not path.exists() or time.monotonic() >= deadline:
-                return None
-            time.sleep(poll_s)
-
-    def release_flight(self, key: str) -> None:
-        """Drop the leader's claim (after :meth:`put` — or on failure)."""
-        path = self._flight_path(key)
-        if path is not None:
-            try:
-                path.unlink()
-            except OSError:
-                pass
-
     # ----------------------------------------------------------------- stats
 
     def stats(self) -> dict[str, int]:
@@ -330,7 +229,5 @@ class FeatureCache:
             "disk_hits": self.disk_hits,
             "evictions": self.evictions,
             "corrupt": self.corrupt,
-            "flights_led": self.flights_led,
-            "flights_followed": self.flights_followed,
             "entries": len(self._memory),
         }

@@ -35,12 +35,21 @@ wall-clock deadline and kernel rlimits, so a script that hangs, OOMs, or
 kills its worker is quarantined and answered with a structured degraded
 verdict while every other script in the batch gets its normal,
 byte-identical result.  See DESIGN.md §9.
+
+Bookkeeping: each script's state (stage timings, content key, cache
+entry, status, fault, analysis, provenance) lives in one private
+``_Script`` record from intake to its :class:`ScanResult`.  Identical
+scripts in one batch are embedded once and the duplicates copy their
+primary's outcome; processes sharing a disk cache do not coordinate.
+Trace spans, the pooled ones included, are built from the record once
+the verdict is known.
 """
 
 from __future__ import annotations
 
 import sys
 import time
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -54,15 +63,15 @@ from repro.faults import (
     Task,
     build_embed_init,
 )
-from repro.faults.workers import EmbedPayload, _run_embed
+from repro.faults.workers import EmbedPayload, Outcome, _run_embed
 from repro.ml import DecisionTreeClassifier, RandomForestClassifier
-from repro.obs.trace import SpanContext, new_span_id, trace_spans
+from repro.obs.trace import SpanContext, trace_spans
 
 from .cache import CacheEntry, FeatureCache, content_key
 from .results import STAGE_KEYS, STATUS_OK, ScanReport, ScanResult
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.analysis import Analyzer
+    from repro.analysis import Analyzer, AnalysisReport
     from repro.core.detector import JSRevealer
     from repro.deobfuscate import Deobfuscator, NormalizationReport
     from repro.obs import MetricsRegistry, Span, Tracer
@@ -81,6 +90,32 @@ def _classify(classifier, X) -> tuple[np.ndarray, np.ndarray | None]:
     if proba is not None and type(classifier) in _ARGMAX_CLASSIFIERS:
         return classifier.classes_[np.argmax(proba, axis=1)], proba
     return np.asarray(classifier.predict(X)), proba
+
+
+@dataclass(eq=False)
+class _Script:
+    """Everything :meth:`BatchScanner.scan` knows about one script."""
+
+    index: int
+    name: str
+    raw_source: str  # as submitted; suppression directives live here
+    source: str  # what the pipeline sees: the normalized text when deobfuscating
+    #: Per-stage wall-clock ms, the result's ``stage_ms``.
+    ms: dict[str, float] = field(default_factory=lambda: {"path_extraction": 0.0, "embedding": 0.0})
+    norm: "NormalizationReport | None" = None
+    analysis: "AnalysisReport | None" = None
+    triaged: bool = False
+    key: str | None = None
+    entry: CacheEntry | None = None
+    hit: bool = False
+    status: str = STATUS_OK
+    fault: dict | None = None
+    top_paths: list | None = None
+    #: The pool reply that answered for this script (its ``worker.<kind>``
+    #: span), and when that work started: the reply's landing time less the
+    #: worker's run time.
+    worker: Outcome | None = None
+    worker_start: float = 0.0
 
 
 class BatchScanner:
@@ -123,10 +158,11 @@ class BatchScanner:
         tracer: Optional :class:`~repro.obs.Tracer`.  When given, each
             :meth:`scan` call may open a ``scan.batch`` root span (subject
             to the tracer's sampling or the call's ``trace=`` override)
-            with per-file stage spans, worker-side spans re-parented from
-            the isolation layer, and verdict provenance attached to every
-            :class:`ScanResult`.  ``None`` disables tracing entirely —
-            verdicts and JSON output are byte-identical either way.
+            with per-file stage spans (a ``worker.<kind>`` span, with the
+            worker's pid, for work a pool worker answered), and verdict
+            provenance attached to every :class:`ScanResult`.  ``None``
+            disables tracing entirely — verdicts and JSON output are
+            byte-identical either way.
         deobfuscate: Optional :class:`~repro.deobfuscate.Deobfuscator`.
             When given, every source is normalized *before* triage,
             content keys, and embedding, so the whole pipeline sees the
@@ -201,11 +237,6 @@ class BatchScanner:
                 "In-flight duplicate scripts answered by one embedding",
                 labels={"scope": "batch"},
             )
-            self._m_dedup_cluster = metrics.counter(
-                "repro_scan_dedup_total",
-                "In-flight duplicate scripts answered by one embedding",
-                labels={"scope": "cluster"},
-            )
 
     # -------------------------------------------------------------- lifecycle
 
@@ -274,20 +305,10 @@ class BatchScanner:
             if candidate.recording:
                 root = candidate  # type: ignore[assignment]
         recording = root is not None
-        #: Pre-generated per-file span ids: workers parent their spans to
-        #: these before the file span itself is synthesized (at the end,
-        #: once its total cost and outcome are known).
-        file_span_ids: list[str] | None = [new_span_id() for _ in range(n)] if recording else None
-        top_paths: list[list | None] = [None] * n
-        worker_spans: list[list | None] = [None] * n
-
-        entries: list[CacheEntry | None] = [None] * n
-        hit_flags = [False] * n
-        per_file_ms: list[dict[str, float]] = [
-            {"path_extraction": 0.0, "embedding": 0.0} for _ in range(n)
+        scripts = [
+            _Script(i, str(name), raw_source=source, source=source)
+            for i, (name, source) in enumerate(zip(names, sources))
         ]
-        statuses: list[str] = [STATUS_OK] * n
-        fault_info: list[dict | None] = [None] * n
 
         # Deobfuscation pre-pass: rewrite sources *before* triage and
         # content keys, so rules, cache, dedup, and embedding all see the
@@ -295,108 +316,75 @@ class BatchScanner:
         # dedup to one embedding).  Clean scripts come back verbatim —
         # the normalizer's byte-identical no-op contract — so enabling
         # the pass cannot perturb their verdicts or cache keys.
-        norm_reports: "list[NormalizationReport | None]" = [None] * n
         deob_ms: float | None = None
-        raw_sources = sources  # pre-normalization text (directives live here)
         if self.deobfuscate is not None:
             deob_started = time.perf_counter()
-            normalized_sources: list[str] = []
-            for i, source in enumerate(sources):
-                normalized, norm_report = self.deobfuscate.normalize(source, name=str(names[i]))
-                normalized_sources.append(normalized)
-                norm_reports[i] = norm_report
-                if norm_report.interesting:
-                    per_file_ms[i]["deobfuscate"] = norm_report.elapsed_ms
-            sources = normalized_sources
+            for script in scripts:
+                script.source, script.norm = self.deobfuscate.normalize(
+                    script.raw_source, name=script.name
+                )
+                if script.norm.interesting:
+                    script.ms["deobfuscate"] = script.norm.elapsed_ms
             deob_ms = 1000.0 * (time.perf_counter() - deob_started)
 
         # Triage fast-path: analyze first; decisive hits never reach the
         # embedding pipeline (or the cache — no features were computed).
-        analyses: list = [None] * n
-        triaged = [False] * n
         if self.triage is not None:
-            for i, source in enumerate(sources):
+            for script in scripts:
                 # When the pre-pass rewrote this script, analysis runs over
                 # the normalized text; the line map lets findings (and taint
                 # witness hops) report spans in the submitted original too.
-                norm = norm_reports[i]
+                norm = script.norm
                 line_map = norm.line_map if norm is not None and norm.changed else None
-                analysis = self.triage.analyze(
-                    source,
-                    name=str(names[i]),
+                script.analysis = self.triage.analyze(
+                    script.source,
+                    name=script.name,
                     line_map=line_map,
-                    raw_source=raw_sources[i] if line_map is not None else None,
+                    raw_source=script.raw_source if line_map is not None else None,
                 )
-                analyses[i] = analysis
-                per_file_ms[i]["analysis"] = analysis.elapsed_ms
-                triaged[i] = analysis.decisive
+                script.ms["analysis"] = script.analysis.elapsed_ms
+                script.triaged = script.analysis.decisive
 
-        keys: list[str | None] = [None] * n
-        pending: list[int] = []
+        pending: list[_Script] = []
         want_keys = self.cache is not None or self.isolated
-        for i, source in enumerate(sources):
-            if triaged[i]:
+        for script in scripts:
+            if script.triaged:
                 continue
             if want_keys:
-                keys[i] = content_key(source)
+                script.key = content_key(script.source)
             if self.cache is not None:
-                entry = self.cache.get(keys[i])
-                if entry is not None:
-                    entries[i] = entry
-                    hit_flags[i] = True
+                script.entry = self.cache.get(script.key)
+                if script.entry is not None:
+                    script.hit = True
                     continue
-            pending.append(i)
+            pending.append(script)
         misses = len(pending)
 
-        # In-batch single-flight: identical sources in one batch (the same
-        # CDN script submitted by many clients, coalesced into one
-        # micro-batch) are embedded once; duplicates copy the primary's
-        # outcome after the embed phase.
-        dup_of: dict[int, int] = {}
+        # In-batch dedup: identical sources in one batch (the same CDN
+        # script submitted by many clients, coalesced into one micro-batch)
+        # are embedded once; duplicates copy the primary's outcome after
+        # the embed phase.
+        duplicates: list[tuple[_Script, _Script]] = []
         if pending and want_keys:
-            primary_by_key: dict[str, int] = {}
-            unique_pending: list[int] = []
-            for i in pending:
-                first = primary_by_key.setdefault(keys[i], i)
-                if first == i:
-                    unique_pending.append(i)
-                else:
-                    dup_of[i] = first
-            if dup_of:
-                pending = unique_pending
+            primaries: dict[str | None, _Script] = {}
+            for script in pending:
+                primary = primaries.setdefault(script.key, script)
+                if primary is not script:
+                    duplicates.append((script, primary))
+            if duplicates:
+                pending = list(primaries.values())
                 if self.metrics is not None:
-                    self._m_dedup_batch.inc(len(dup_of))
-
-        # Cross-process single-flight on the shared disk cache: claim every
-        # remaining miss; a key some other process is already computing is
-        # *followed* (its entry awaited after our own embeds are published)
-        # rather than recomputed.  Isolated mode opts out — a follower
-        # fallback would re-run a possibly poisonous script outside the
-        # sandbox.
-        flight_led: list[int] = []
-        flight_following: list[int] = []
-        if pending and self.cache is not None and not self.isolated:
-            claimed: list[int] = []
-            for i in pending:
-                if self.cache.acquire_flight(keys[i]):
-                    flight_led.append(i)
-                    claimed.append(i)
-                else:
-                    flight_following.append(i)
-            pending = claimed
+                    self._m_dedup_batch.inc(len(duplicates))
 
         # Known poison never gets a second chance to burn a worker: journal
         # hits go straight to the degraded-verdict path.
-        faulted: list[int] = []
         if self.isolated and self.quarantine is not None and pending:
-            still_pending: list[int] = []
-            for i in pending:
-                known = self.quarantine.lookup(keys[i])
+            for script in pending:
+                known = self.quarantine.lookup(script.key)
                 if known is None:
-                    still_pending.append(i)
                     continue
-                statuses[i] = known.cause
-                fault_info[i] = {
+                script.status = known.cause
+                script.fault = {
                     "cause": known.cause,
                     "detail": known.detail,
                     "stage": known.stage,
@@ -404,22 +392,14 @@ class BatchScanner:
                     "quarantined": True,
                     "known": True,
                 }
-                faulted.append(i)
                 self._count_failure(known.cause)
-            pending = still_pending
+            pending = [s for s in pending if s.status not in FAULT_CAUSES]
 
         workers_used = 1
         if self.isolated or (self.n_workers > 1 and len(pending) > 1):
             try:
-                self._embed_pooled(
-                    pending, sources, names, keys, entries, per_file_ms, statuses, fault_info,
-                    faulted, worker_spans, top_paths, root=root, file_span_ids=file_span_ids,
-                )
-                self._degraded_analyses(
-                    faulted, sources, names, analyses, per_file_ms,
-                    norm_reports=norm_reports, raw_sources=raw_sources,
-                    root=root, file_span_ids=file_span_ids, worker_spans=worker_spans,
-                )
+                self._embed_pooled(pending, capture_paths=recording)
+                self._degraded_analyses([s for s in scripts if s.status in FAULT_CAUSES])
                 workers_used = self.n_workers
             except Exception as error:  # pool start/transport failure, not a task fault
                 self.close()
@@ -432,50 +412,29 @@ class BatchScanner:
             "embed_script": detector.embed_script,
             "feature_extractor": detector.feature_extractor,
         }
-        for i in pending:  # in-process path + pool backstop
-            if entries[i] is None and statuses[i] not in FAULT_CAUSES:
-                payload = _run_embed(embed_state, sources[i], recording)
-                self._settle(i, payload, entries, statuses, per_file_ms, top_paths)
+        for script in pending:  # in-process path + pool backstop
+            if script.entry is None and script.status not in FAULT_CAUSES:
+                self._settle(script, _run_embed(embed_state, script.source, recording))
         if self.cache is not None:
-            for i in pending:
+            for script in pending:
                 # Only clean rows are cached: a parse_error entry would
                 # come back from the cache without its status, and faulted
                 # scripts never produced one.
-                if entries[i] is not None and statuses[i] == STATUS_OK:
-                    self.cache.put(keys[i], entries[i])
-            for i in flight_led:
-                self.cache.release_flight(keys[i])
-            # Followers: some other process was computing this key when we
-            # claimed; by now it has usually published.  If it died without
-            # publishing, compute locally — correct, just not deduplicated.
-            for i in flight_following:
-                entry = self.cache.wait_flight(keys[i])
-                if entry is not None:
-                    entries[i] = entry
-                    hit_flags[i] = True
-                    if self.metrics is not None:
-                        self._m_dedup_cluster.inc()
-                    continue
-                payload = _run_embed(embed_state, sources[i], recording)
-                self._settle(i, payload, entries, statuses, per_file_ms, top_paths)
-                if statuses[i] == STATUS_OK:
-                    self.cache.put(keys[i], entries[i])
+                if script.entry is not None and script.status == STATUS_OK:
+                    self.cache.put(script.key, script.entry)
 
         # In-batch duplicates copy their primary's outcome wholesale (the
         # classifier still runs per script, so results stay per-file).
-        for i, primary in dup_of.items():
-            entries[i] = entries[primary]
-            statuses[i] = statuses[primary]
-            fault_info[i] = fault_info[primary]
-            top_paths[i] = top_paths[primary]
-            if analyses[i] is None:
-                analyses[i] = analyses[primary]
+        for script, primary in duplicates:
+            script.entry, script.status = primary.entry, primary.status
+            script.fault, script.top_paths = primary.fault, primary.top_paths
+            if script.analysis is None:
+                script.analysis = primary.analysis
 
-        active = [i for i in range(n) if not triaged[i] and entries[i] is not None]
-        rows = [entries[i].row for i in active]
+        active = [s for s in scripts if not s.triaged and s.entry is not None]
         transform_started = time.perf_counter()
         with detector._timed("feature_transform"):
-            X = detector.feature_extractor.transform(rows)
+            X = detector.feature_extractor.transform([s.entry.row for s in active])
         transform_ms = 1000.0 * (time.perf_counter() - transform_started)
 
         classify_started = time.perf_counter()
@@ -493,57 +452,48 @@ class BatchScanner:
             root.synthesize("classify", classify_ms, attributes={"n_scripts": len(active)})
 
         results = []
-        position = {i: j for j, i in enumerate(active)}
+        position = {script.index: j for j, script in enumerate(active)}
         has_proba = (
             active_proba is not None and active_proba.ndim == 2 and active_proba.shape[1] >= 2
         )
-        trace_envelopes: list[dict | None] = [None] * n
-        if recording:
-            for i in range(n):
-                trace_envelopes[i] = self._file_trace(
-                    root, file_span_ids[i], i, names, statuses, hit_flags, triaged,
-                    per_file_ms, fault_info, worker_spans, entries, analyses, top_paths,
-                    position, X if len(active) else None, norm_reports,
-                )
-        degraded_flags = [False] * n
-        for i in range(n):
-            if triaged[i]:
+        for script in scripts:
+            j = position.get(script.index)
+            degraded = False
+            if script.triaged:
                 label, probability = 1, 1.0
-            elif i in position:
-                j = position[i]
+            elif j is not None:
                 label = int(labels[j]) if j < len(labels) else 0
                 probability = float(active_proba[j, 1]) if has_proba else float(label)
-            else:
+            elif script.analysis is not None:
                 # Faulted script: fall back to the triage-only rule verdict
                 # when the analyzer survived it; otherwise answer "unknown"
                 # (benign, probability 0) rather than invent confidence.
-                analysis = analyses[i]
-                if analysis is not None:
-                    probability = 1.0 if analysis.decisive else float(analysis.score)
-                    label = int(probability >= 0.5)
-                    degraded_flags[i] = True
-                else:
-                    label, probability = 0, 0.0
+                probability = 1.0 if script.analysis.decisive else float(script.analysis.score)
+                label = int(probability >= 0.5)
+                degraded = True
+            else:
+                label, probability = 0, 0.0
+            norm = script.norm
             results.append(
                 ScanResult(
-                    path=str(names[i]),
+                    path=script.name,
                     label=label,
                     probability=probability,
                     malicious=bool(probability >= threshold),
-                    path_count=entries[i].path_count if entries[i] is not None else 0,
-                    cache_hit=hit_flags[i],
-                    stage_ms={k: round(v, 3) for k, v in per_file_ms[i].items()},
-                    triaged=triaged[i],
-                    analysis=analyses[i].to_dict() if analyses[i] is not None else None,
-                    status=statuses[i],
-                    degraded=degraded_flags[i],
-                    fault=fault_info[i],
-                    trace=trace_envelopes[i],
-                    normalization=(
-                        norm_reports[i].to_dict()
-                        if norm_reports[i] is not None and norm_reports[i].interesting
+                    path_count=script.entry.path_count if script.entry is not None else 0,
+                    cache_hit=script.hit,
+                    stage_ms={k: round(v, 3) for k, v in script.ms.items()},
+                    triaged=script.triaged,
+                    analysis=script.analysis.to_dict() if script.analysis is not None else None,
+                    status=script.status,
+                    degraded=degraded,
+                    fault=script.fault,
+                    trace=(
+                        self._file_trace(root, script, X[j] if j is not None else None)
+                        if recording
                         else None
                     ),
+                    normalization=norm.to_dict() if norm is not None and norm.interesting else None,
                 )
             )
 
@@ -553,17 +503,17 @@ class BatchScanner:
         proba_matrix: np.ndarray | None = None
         if has_proba:
             proba_matrix = np.zeros((n, max(active_proba.shape[1], 2)))
-            for j, i in enumerate(active):
-                proba_matrix[i, : active_proba.shape[1]] = active_proba[j]
+            for j, script in enumerate(active):
+                proba_matrix[script.index, : active_proba.shape[1]] = active_proba[j]
             for i, result in enumerate(results):
                 if i not in position:
                     proba_matrix[i, 0] = 1.0 - result.probability
                     proba_matrix[i, 1] = result.probability
 
-        analysis_total_ms = sum(ms.get("analysis", 0.0) for ms in per_file_ms)
+        analysis_total_ms = sum(s.ms.get("analysis", 0.0) for s in scripts)
         stage_totals = {
-            "path_extraction": sum(ms["path_extraction"] for ms in per_file_ms),
-            "embedding": sum(ms["embedding"] for ms in per_file_ms),
+            "path_extraction": sum(s.ms["path_extraction"] for s in scripts),
+            "embedding": sum(s.ms["embedding"] for s in scripts),
             "feature_transform": transform_ms,
             "classifying": classify_ms,
         }
@@ -578,9 +528,9 @@ class BatchScanner:
             workers_used=workers_used,
             elapsed_ms=1000.0 * (time.perf_counter() - started),
             stage_ms={k: round(v, 3) for k, v in stage_totals.items()},
-            cache_hits=sum(hit_flags),
+            cache_hits=sum(s.hit for s in scripts),
             cache_misses=misses,
-            triage_hits=sum(triaged),
+            triage_hits=sum(s.triaged for s in scripts),
             fault_count=sum(1 for result in results if result.faulted),
             cache_stats=self.cache.stats() if self.cache is not None else None,
             model_fingerprint=detector.fingerprint(),
@@ -609,62 +559,45 @@ class BatchScanner:
 
     # --------------------------------------------------------------- tracing
 
-    def _file_trace(
-        self,
-        root: "Span",
-        span_id: str,
-        i: int,
-        names: list[str],
-        statuses: list[str],
-        hit_flags: list[bool],
-        triaged: list[bool],
-        per_file_ms: list[dict[str, float]],
-        fault_info: list[dict | None],
-        worker_spans: list[list | None],
-        entries: list[CacheEntry | None],
-        analyses: list,
-        top_paths: list[list | None],
-        position: dict[int, int],
-        X: np.ndarray | None,
-        norm_reports: "list[NormalizationReport | None]",
-    ) -> dict:
+    def _file_trace(self, root: "Span", script: _Script, row: np.ndarray | None) -> dict:
         """One file's trace envelope: span subtree + verdict provenance.
 
-        The per-file span is synthesized (its id was pre-generated so
-        worker spans could parent to it before it existed); its children
-        are either real worker spans shipped back across the process
-        boundary, or stage spans reconstructed from the measured per-file
-        timings, or — for a script that killed its worker — a terminal
-        span synthesized from the fault classification.
+        Every span is synthesized here, after the verdict, from what the
+        scan measured.  A script a pool worker answered for gets a
+        ``worker.<kind>`` span carrying that worker's pid (an embed one
+        with ``path_extraction``/``embedding`` children); one embedded
+        in-process gets those two stages directly; one that killed its
+        worker gets a terminal ``worker.embed`` error span from the fault
+        classification.
         """
         from repro.obs.trace import span_tree
 
-        info = fault_info[i] or {}
-        faulted = statuses[i] in FAULT_CAUSES
+        info = script.fault or {}
+        faulted = script.status in FAULT_CAUSES
         events: list[dict] = []
-        if triaged[i]:
+        if script.triaged:
             events.append({"name": "triage_decisive", "offset_ms": 0.0})
         elif self.cache is not None and not info.get("known"):
-            events.append({"name": "cache_hit" if hit_flags[i] else "cache_miss", "offset_ms": 0.0})
+            events.append({"name": "cache_hit" if script.hit else "cache_miss", "offset_ms": 0.0})
         if info.get("known"):
             events.append({"name": "quarantine_hit", "offset_ms": 0.0})
         file_span = root.synthesize(
             "script",
-            sum(per_file_ms[i].values()),
-            span_id=span_id,
+            sum(script.ms.values()),
             attributes={
-                "script": str(names[i]),
-                "index": i,
-                "status": statuses[i],
-                "cache_hit": hit_flags[i],
-                "triaged": triaged[i],
+                "script": script.name,
+                "index": script.index,
+                "status": script.status,
+                "cache_hit": script.hit,
+                "triaged": script.triaged,
             },
             events=events,
             status="error" if faulted else "ok",
             status_detail=info.get("detail") if faulted else None,
         )
+        span_id = file_span["span_id"]
         spans = [file_span]
-        norm = norm_reports[i]
+        norm = script.norm
         if norm is not None:
             spans.append(
                 root.synthesize(
@@ -682,15 +615,24 @@ class BatchScanner:
                     status_detail=norm.degraded_reason,
                 )
             )
-        has_analyze_spans = any(s.get("name") == "worker.analyze" for s in worker_spans[i] or [])
-        if per_file_ms[i].get("analysis") and not has_analyze_spans:
-            spans.append(root.synthesize("analysis", per_file_ms[i]["analysis"], parent_id=span_id))
-        for span_dict in worker_spans[i] or []:
-            span_dict = {**span_dict, "trace_id": root.trace_id}
-            root.add_span_dict(span_dict)
-            spans.append(span_dict)
-        has_embed_spans = any(s.get("name") == "worker.embed" for s in worker_spans[i] or [])
-        if faulted and not has_embed_spans:
+        worker = script.worker
+        if script.ms.get("analysis") and (worker is None or worker.kind != "analyze"):
+            spans.append(root.synthesize("analysis", script.ms["analysis"], parent_id=span_id))
+        # A pooled embed's stages nest under its worker span, from the
+        # worker's start; an in-process embed's sit under the file span.
+        if worker is not None:
+            worker_span = root.synthesize(
+                f"worker.{worker.kind}",
+                worker.elapsed_ms,
+                parent_id=span_id,
+                attributes={"pid": worker.pid},
+                start_unix=script.worker_start,
+            )
+            spans.append(worker_span)
+            stage_parent, stage_start = worker_span["span_id"], script.worker_start
+        else:
+            stage_parent, stage_start = span_id, None
+        if faulted:
             # The worker never replied (killed / deadline overrun): the
             # terminal span is synthesized from the parent's classification.
             deadline = self.limits.deadline_for("embed") if self.limits is not None else None
@@ -700,43 +642,45 @@ class BatchScanner:
                     1000.0 * deadline if (info.get("cause") == "timeout" and deadline) else 0.0,
                     parent_id=span_id,
                     attributes={
-                        "cause": info.get("cause", statuses[i]),
+                        "cause": info.get("cause", script.status),
                         "quarantined": bool(info.get("quarantined")),
                     },
                     status="error",
                     status_detail=info.get("detail"),
                 )
             )
-        elif (
-            not has_embed_spans and not triaged[i] and not hit_flags[i] and entries[i] is not None
-        ):
+        elif not script.triaged and not script.hit and script.entry is not None:
+            extract_ms = script.ms["path_extraction"]
             spans.append(
                 root.synthesize(
-                    "path_extraction", per_file_ms[i].get("path_extraction", 0.0), parent_id=span_id
+                    "path_extraction",
+                    extract_ms,
+                    parent_id=stage_parent,
+                    attributes={"status": script.status} if worker is not None else None,
+                    start_unix=stage_start,
                 )
             )
             spans.append(
-                root.synthesize("embedding", per_file_ms[i].get("embedding", 0.0), parent_id=span_id)
+                root.synthesize(
+                    "embedding",
+                    script.ms["embedding"],
+                    parent_id=stage_parent,
+                    start_unix=None if stage_start is None else stage_start + extract_ms / 1000.0,
+                )
             )
-        row = X[position[i]] if (X is not None and i in position) else None
         return {
             "trace_id": root.trace_id,
             "span_id": span_id,
-            "provenance": self._provenance(analyses[i], top_paths[i], row, norm),
+            "provenance": self._provenance(script, row),
             "spans": span_tree(spans),
         }
 
-    def _provenance(
-        self,
-        analysis,
-        top_paths: list | None,
-        row: np.ndarray | None,
-        norm_report: "NormalizationReport | None" = None,
-    ) -> dict:
+    def _provenance(self, script: _Script, row: np.ndarray | None) -> dict:
         """Why the verdict: rule hits, attention paths, cluster features."""
         provenance: dict = {}
-        if norm_report is not None and norm_report.interesting:
-            provenance["normalization"] = norm_report.to_dict()
+        if script.norm is not None and script.norm.interesting:
+            provenance["normalization"] = script.norm.to_dict()
+        analysis = script.analysis
         if analysis is not None:
             rules = []
             for f in analysis.findings:
@@ -755,29 +699,21 @@ class BatchScanner:
             provenance["analysis_score"] = round(float(analysis.score), 6)
             if analysis.suppressed_at:
                 provenance["suppressed_at"] = analysis.suppressed_at
-        if top_paths is not None:
-            provenance["top_paths"] = top_paths
+        if script.top_paths is not None:
+            provenance["top_paths"] = script.top_paths
         if row is not None:
             provenance["cluster_features"] = self.detector.feature_provenance(row)
         return provenance
 
     # ------------------------------------------------------------ embedding
 
-    def _settle(
-        self,
-        i: int,
-        payload: EmbedPayload,
-        entries: list[CacheEntry | None],
-        statuses: list[str],
-        per_file_ms: list[dict[str, float]],
-        top_paths: list[list | None],
-    ) -> None:
+    def _settle(self, script: _Script, payload: EmbedPayload) -> None:
         """Land one :func:`_run_embed` result, pooled or in-process."""
-        entries[i] = CacheEntry(row=payload.row, path_count=payload.path_count)
-        statuses[i] = payload.status
-        per_file_ms[i]["path_extraction"] = payload.extract_ms
-        per_file_ms[i]["embedding"] = payload.embed_ms
-        top_paths[i] = payload.top_paths
+        script.entry = CacheEntry(row=payload.row, path_count=payload.path_count)
+        script.status = payload.status
+        script.ms["path_extraction"] = payload.extract_ms
+        script.ms["embedding"] = payload.embed_ms
+        script.top_paths = payload.top_paths
         # Worker CPU time lands in the detector's Table VIII accounting too,
         # even though wall-clock overlaps under the pool.
         detector = self.detector
@@ -786,94 +722,49 @@ class BatchScanner:
         detector.stage_seconds["embedding"] += payload.embed_ms / 1000.0
         detector.stage_counts["embedding"] += 1
 
-    def _embed_pooled(
-        self,
-        pending: list[int],
-        sources: list[str],
-        names: list[str],
-        keys: list[str | None],
-        entries: list[CacheEntry | None],
-        per_file_ms: list[dict[str, float]],
-        statuses: list[str],
-        fault_info: list[dict | None],
-        faulted: list[int],
-        worker_spans: list[list | None],
-        top_paths: list[list | None],
-        root: "Span | None" = None,
-        file_span_ids: list[str] | None = None,
-    ) -> None:
+    def _embed_pooled(self, pending: list[_Script], capture_paths: bool) -> None:
         """Run pending scripts through the worker pool.
 
         Ok outcomes land through :meth:`_settle`.  A task that faulted is
         left to the in-process path after the pool when no limits are
         set; with limits it is settled in place instead: status + fault
-        envelope + quarantine record.  When tracing (``root`` given),
-        each task carries a ``traceparent`` naming its pre-generated file
-        span id, so the spans the worker ships back re-parent correctly
-        under the batch trace.
+        envelope + quarantine record.
         """
         if not pending:
             return
-        pool = self._ensure_pool()
-        recording = root is not None and file_span_ids is not None
         tasks = [
-            Task(
-                kind="embed",
-                index=i,
-                source=sources[i],
-                name=str(names[i]),
-                traceparent=(
-                    SpanContext(root.trace_id, file_span_ids[i]).to_traceparent()
-                    if recording
-                    else None
-                ),
-            )
-            for i in pending
+            Task(kind="embed", index=s.index, source=s.source, name=s.name, capture_paths=capture_paths)
+            for s in pending
         ]
-        for outcome in pool.run(tasks):
-            i = outcome.index
+        for script, outcome in zip(pending, self._ensure_pool().run(tasks)):
             if outcome.ok:
-                self._settle(i, outcome.payload, entries, statuses, per_file_ms, top_paths)
-                if outcome.spans:
-                    worker_spans[i] = list(outcome.spans)
+                self._settle(script, outcome.payload)
+                script.worker, script.worker_start = outcome, time.time() - outcome.elapsed_ms / 1000.0
                 continue
             if not self.isolated:
                 continue
-            statuses[i] = outcome.cause or "crashed"
-            fault_info[i] = {
-                "cause": statuses[i],
+            script.status = outcome.cause or "crashed"
+            script.fault = {
+                "cause": script.status,
                 "detail": outcome.detail,
                 "stage": "embed",
                 "rusage": outcome.rusage,
                 "quarantined": self.quarantine is not None,
             }
-            faulted.append(i)
-            self._count_failure(statuses[i])
-            if self.quarantine is not None and keys[i] is not None:
+            self._count_failure(script.status)
+            if self.quarantine is not None and script.key is not None:
                 self.quarantine.record(
                     QuarantineEntry(
-                        sha256=keys[i],
-                        name=str(names[i]),
+                        sha256=script.key,
+                        name=script.name,
                         stage="embed",
-                        cause=statuses[i],
+                        cause=script.status,
                         detail=outcome.detail or "",
                         rusage=outcome.rusage,
                     )
                 )
 
-    def _degraded_analyses(
-        self,
-        faulted: list[int],
-        sources: list[str],
-        names: list[str],
-        analyses: list,
-        per_file_ms: list[dict[str, float]],
-        norm_reports: "list[NormalizationReport | None] | None" = None,
-        raw_sources: list[str] | None = None,
-        root: "Span | None" = None,
-        file_span_ids: list[str] | None = None,
-        worker_spans: list[list | None] | None = None,
-    ) -> None:
+    def _degraded_analyses(self, faulted: list[_Script]) -> None:
         """Triage-only fallback for faulted scripts, still behind isolation.
 
         A script that hung or OOMed the embed worker could do the same to
@@ -883,38 +774,20 @@ class BatchScanner:
         """
         from repro.analysis import AnalysisReport, annotate_raw_spans, apply_raw_suppressions
 
-        todo = [i for i in faulted if analyses[i] is None]
+        todo = [s for s in faulted if s.analysis is None]
         if not todo:
             return
-        pool = self._ensure_pool()
-        recording = root is not None and file_span_ids is not None
-        tasks = [
-            Task(
-                kind="analyze",
-                index=i,
-                source=sources[i],
-                name=str(names[i]),
-                traceparent=(
-                    SpanContext(root.trace_id, file_span_ids[i]).to_traceparent()
-                    if recording
-                    else None
-                ),
-            )
-            for i in todo
-        ]
-        for outcome in pool.run(tasks):
-            if outcome.ok and isinstance(outcome.payload, dict):
-                report = AnalysisReport.from_dict(outcome.payload)
-                # The pool task analyzed the (already normalized) source; map
-                # spans back to the submitted original here, outside the task.
-                if norm_reports is not None:
-                    norm = norm_reports[outcome.index]
-                    if norm is not None and norm.changed and norm.line_map:
-                        annotate_raw_spans(report, norm.line_map)
-                        if raw_sources is not None:
-                            apply_raw_suppressions(report, raw_sources[outcome.index])
-                analyses[outcome.index] = report
-                per_file_ms[outcome.index]["analysis"] = outcome.elapsed_ms
-                if worker_spans is not None and outcome.spans:
-                    existing = worker_spans[outcome.index] or []
-                    worker_spans[outcome.index] = existing + list(outcome.spans)
+        tasks = [Task(kind="analyze", index=s.index, source=s.source, name=s.name) for s in todo]
+        for script, outcome in zip(todo, self._ensure_pool().run(tasks)):
+            if not (outcome.ok and isinstance(outcome.payload, dict)):
+                continue
+            report = AnalysisReport.from_dict(outcome.payload)
+            # The pool task analyzed the (already normalized) source; map
+            # spans back to the submitted original here, outside the task.
+            norm = script.norm
+            if norm is not None and norm.changed and norm.line_map:
+                annotate_raw_spans(report, norm.line_map)
+                apply_raw_suppressions(report, script.raw_source)
+            script.analysis = report
+            script.ms["analysis"] = outcome.elapsed_ms
+            script.worker, script.worker_start = outcome, time.time() - outcome.elapsed_ms / 1000.0

@@ -434,8 +434,6 @@ class ScanServer(HTTPService):
 
     async def _handle_scan(self, request: Request) -> tuple[int, bytes]:
         payload = request.json()
-        if not isinstance(payload, dict):
-            raise ProtocolError(400, "request body must be a JSON object")
         source = payload.get("source")
         if not isinstance(source, str):
             raise ProtocolError(400, 'missing or non-string "source" field')
@@ -490,8 +488,6 @@ class ScanServer(HTTPService):
 
     async def _handle_analyze(self, request: Request) -> tuple[int, bytes]:
         payload = request.json()
-        if not isinstance(payload, dict):
-            raise ProtocolError(400, "request body must be a JSON object")
         source = payload.get("source")
         if not isinstance(source, str):
             raise ProtocolError(400, 'missing or non-string "source" field')
@@ -536,8 +532,6 @@ class ScanServer(HTTPService):
 
     async def _handle_scan_batch(self, request: Request) -> tuple[int, bytes]:
         payload = request.json()
-        if not isinstance(payload, dict):
-            raise ProtocolError(400, "request body must be a JSON object")
         scripts = payload.get("scripts")
         if not isinstance(scripts, list) or not scripts:
             raise ProtocolError(400, '"scripts" must be a non-empty array')
@@ -670,8 +664,6 @@ class ScanServer(HTTPService):
 
     async def _handle_admin_reload(self, request: Request) -> tuple[int, bytes]:
         payload = request.json()
-        if not isinstance(payload, dict):
-            raise ProtocolError(400, "request body must be a JSON object")
         model_dir = payload.get("model_dir")
         if not isinstance(model_dir, str) or not model_dir:
             raise ProtocolError(400, 'missing or non-string "model_dir" field')

@@ -50,7 +50,7 @@ class ClusterConfig:
     #: 127.0.0.1`` keeps shards loopback-only while the router listens
     #: on an outward interface.
     bind: str | None = None
-    cache_dir: str | None = None  # shared across shards (single-flight lives here)
+    cache_dir: str | None = None  # disk cache every shard reads and writes
     shard_args: list[str] = field(default_factory=list)  # extra `repro serve` flags
     router: RouterConfig = field(default_factory=RouterConfig)
     #: ``None`` = fixed fleet; set to enable queue-depth autoscaling

@@ -92,12 +92,15 @@ class Request:
         """The raw W3C ``traceparent`` header, if the caller sent one."""
         return self.headers.get("traceparent")
 
-    def json(self):
-        """Parse the body as JSON; :class:`ProtocolError` 400 on failure."""
+    def json(self) -> dict:
+        """The body's JSON object; :class:`ProtocolError` 400 for anything else."""
         try:
-            return json.loads(self.body.decode("utf-8"))
+            payload = json.loads(self.body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as error:
             raise ProtocolError(400, f"request body is not valid JSON: {error}") from error
+        if not isinstance(payload, dict):
+            raise ProtocolError(400, "request body must be a JSON object")
+        return payload
 
 
 async def read_request(

@@ -76,6 +76,9 @@ from .vcache import VerdictCache
 #: router's own renderer).
 _HOP_HEADERS = {"content-length", "connection", "content-type"}
 
+#: Bound on each shard's answer to a merged trace lookup.
+SHARD_TRACE_TIMEOUT_S = 5.0
+
 
 @dataclass
 class RouterConfig:
@@ -425,8 +428,6 @@ class ScanRouter(HTTPService):
 
     async def _handle_scan(self, request: Request) -> tuple[int, bytes]:
         payload = request.json()
-        if not isinstance(payload, dict):
-            raise ProtocolError(400, "request body must be a JSON object")
         source = payload.get("source")
         if not isinstance(source, str):
             raise ProtocolError(400, 'missing or non-string "source" field')
@@ -476,8 +477,6 @@ class ScanRouter(HTTPService):
 
     async def _handle_scan_batch(self, request: Request) -> tuple[int, bytes]:
         payload = request.json()
-        if not isinstance(payload, dict):
-            raise ProtocolError(400, "request body must be a JSON object")
         scripts = payload.get("scripts")
         if not isinstance(scripts, list) or not scripts:
             raise ProtocolError(400, '"scripts" must be a non-empty array')
@@ -511,9 +510,9 @@ class ScanRouter(HTTPService):
             root.set_attribute("n_shards", len(groups))
 
             async def run_group(shard_id: str, indices: list[int]) -> tuple[list[int], int, bytes]:
-                sub = {"scripts": [scripts[i] for i in indices]}
-                if "threshold" in payload:
-                    sub["threshold"] = payload["threshold"]
+                # Every request option (threshold, deobfuscate, ...) reaches
+                # the shard, as it would reach one daemon.
+                sub = {**payload, "scripts": [scripts[i] for i in indices]}
                 body = json.dumps(sub).encode("utf-8")
                 # Sub-batches keep affinity via their first key but may fail
                 # over along its replica set — correctness over affinity.
@@ -573,8 +572,6 @@ class ScanRouter(HTTPService):
 
     async def _handle_admin_reload(self, request: Request) -> tuple[int, bytes]:
         payload = request.json()
-        if not isinstance(payload, dict):
-            raise ProtocolError(400, "request body must be a JSON object")
         model_dir = payload.get("model_dir")
         if not isinstance(model_dir, str) or not model_dir:
             raise ProtocolError(400, 'missing or non-string "model_dir" field')
@@ -738,21 +735,28 @@ class ScanRouter(HTTPService):
         """
         record = self.traces.get(trace_id)
         merged_spans = list(record["spans"]) if record else []
-        shard_records: dict[str, dict] = {}
-        for shard_id, spec in sorted(self.supervisor.shards.items()):
+        shards = sorted(self.supervisor.shards.items())
+
+        async def fetch_record(host: str, port: int) -> dict | None:
             try:
                 response = await fetch(
-                    spec.host, spec.port, "GET", f"{V1_PREFIX}/debug/traces/{trace_id}",
-                    timeout_s=5.0,
+                    host, port, "GET", f"{V1_PREFIX}/debug/traces/{trace_id}",
+                    timeout_s=SHARD_TRACE_TIMEOUT_S,
                 )
             except Exception:
-                continue
+                return None
             if response.status != 200:
-                continue
+                return None
             try:
-                envelope = json.loads(response.body.decode("utf-8"))
-                shard_record = envelope.get("data") or {}
+                return json.loads(response.body.decode("utf-8")).get("data") or {}
             except ValueError:
+                return None
+
+        # Every shard is asked at once, so hung shards cost one timeout, not one each.
+        fetched = await asyncio.gather(*(fetch_record(spec.host, spec.port) for _, spec in shards))
+        shard_records: dict[str, dict] = {}
+        for (shard_id, _spec), shard_record in zip(shards, fetched):
+            if shard_record is None:
                 continue
             shard_records[shard_id] = shard_record
             for span in shard_record.get("spans", []):

@@ -1,11 +1,12 @@
 """Tracing across the isolation boundary: worker spans and fault synthesis.
 
-The cross-process contract: the scanner serializes a ``SpanContext`` into
-each task envelope, healthy workers ship their stage spans back in the
-reply (re-parented under the file's ``script`` span), and for workers
-that never answer — killed on deadline or found dead — the parent
-synthesizes a terminal error span from the fault classification, so a
-trace never has a silent gap where a worker died.
+The contract: workers record no spans.  A healthy worker's reply carries
+its run time and the pool adds its pid; from those the scanner builds a
+``worker.embed`` span with its stage children under the file's
+``script`` span.  For workers that never answer — killed on deadline or
+found dead — the scanner synthesizes a terminal error span from the
+fault classification, so a trace never has a silent gap where a worker
+died.
 """
 
 import pytest
@@ -43,7 +44,7 @@ class TestIsolatedTracing:
             assert len(worker) == 1, result.path
             assert worker[0]["parent_id"] == result.trace["span_id"]
             assert worker[0]["attributes"]["pid"] != 0
-            # Worker-side stage children came back across the pipe.
+            # Stage children, built from the worker's reply.
             children = {child["name"] for child in worker[0]["children"]}
             assert {"path_extraction", "embedding"} <= children
             # Provenance survived the process boundary too.

@@ -95,6 +95,5 @@ class TestDiskLayer:
         cache = FeatureCache("fp", cache_dir=tmp_path)
         stats = cache.stats()
         assert set(stats) == {
-            "hits", "misses", "disk_hits", "evictions", "corrupt",
-            "flights_led", "flights_followed", "entries",
+            "hits", "misses", "disk_hits", "evictions", "corrupt", "entries",
         }

@@ -70,7 +70,7 @@ class TestTracedScan:
             report = scanner.scan(split.test.sources[:4], trace=True)
         names = span_names(report.trace["spans"])
         assert {"scan.batch", "script", "path_extraction", "embedding", "worker.embed"} <= names
-        # The worker builds these children from its embed payload's fields;
+        # The scanner builds these children from the worker's embed payload;
         # a stale positional read would hand them another field's value.
         for result in report.results:
             [script] = result.trace["spans"]

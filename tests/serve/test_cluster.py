@@ -165,7 +165,7 @@ def test_batch_fans_out_and_merges_in_order(client, split):
 
 
 def test_batch_duplicates_deduplicated_on_shard(client, cluster):
-    """Single-flight, proven by counter: 4 copies of a fresh script in one
+    """In-batch dedup, proven by counter: 4 copies of a fresh script in one
     batch reach the owning shard once and dedup in-batch there."""
     fresh = f"var unique_{os.getpid()} = {time.time_ns()};"
     batch = client.scan_batch([fresh, fresh, fresh, fresh])

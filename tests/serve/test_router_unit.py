@@ -55,13 +55,20 @@ class FakeSupervisor:
 
 
 async def start_canned(response_bytes):
-    """A one-response-per-connection shard stand-in; counts connections."""
-    hits = {"count": 0}
+    """A one-response-per-connection shard stand-in; counts connections
+    and keeps each request body."""
+    hits = {"count": 0, "bodies": []}
 
     async def handle(reader, writer):
         hits["count"] += 1
         try:
-            await reader.readuntil(b"\r\n\r\n")
+            head = await reader.readuntil(b"\r\n\r\n")
+            length = 0
+            for line in head.decode("latin-1").split("\r\n"):
+                name, _, value = line.partition(":")
+                if name.strip().lower() == "content-length":
+                    length = int(value)
+            hits["bodies"].append(await reader.readexactly(length))
             writer.write(response_bytes)
             await writer.drain()
         finally:
@@ -428,6 +435,78 @@ def test_batch_envelope_carries_the_router_trace_id():
             assert envelope["trace_id"] == response.headers["x-trace-id"]
         finally:
             await teardown(router, servers)
+
+    asyncio.run(main())
+
+
+def test_batch_options_reach_the_shard():
+    """A batch's options travel with every shard sub-batch, as they would
+    reach one daemon: ``deobfuscate`` too, not only ``threshold``."""
+    from repro.serve.api import v1_response
+
+    canned = v1_response(200, {
+        "n_files": 1,
+        "n_malicious": 0,
+        "threshold": 0.7,
+        "model_fingerprint": "canned",
+        "trace_id": None,
+        "results": [{"verdict": "benign", "malicious": False, "probability": 0.1}],
+    })
+
+    async def main():
+        router, supervisor, servers, hits = await boot({"shard-0": canned, "shard-1": canned})
+        try:
+            body = json.dumps(
+                {"scripts": [SOURCE], "deobfuscate": True, "threshold": 0.7}
+            ).encode("utf-8")
+            response = await fetch(
+                "127.0.0.1", router.bound_port, "POST", "/v1/scan/batch", body=body
+            )
+            assert response.status == 200
+            [forwarded] = [json.loads(b) for h in hits.values() for b in h["bodies"]]
+            assert forwarded == {"scripts": [SOURCE], "deobfuscate": True, "threshold": 0.7}
+        finally:
+            await teardown(router, servers)
+
+    asyncio.run(main())
+
+
+def test_trace_lookup_asks_hung_shards_at_once(monkeypatch):
+    """Shards that accept and never answer cost a merged trace lookup one
+    per-shard timeout in total, not one each."""
+    import time
+
+    from repro.serve import router as router_module
+
+    timeout_s = 0.5
+    monkeypatch.setattr(router_module, "SHARD_TRACE_TIMEOUT_S", timeout_s)
+
+    async def main():
+        held = []
+
+        async def hang(reader, writer):
+            held.append(writer)
+            await reader.read()  # until the router gives up and disconnects
+
+        hung = [await asyncio.start_server(hang, host="127.0.0.1", port=0) for _ in range(3)]
+        supervisor = FakeSupervisor([server.sockets[0].getsockname()[1] for server in hung])
+        router = ScanRouter(
+            supervisor, RouterConfig(port=0, request_timeout_s=5.0, scrape_interval_s=0)
+        )
+        await router.start()
+        try:
+            started = time.monotonic()
+            response = await fetch(
+                "127.0.0.1", router.bound_port, "GET", f"/v1/debug/traces/{'ab' * 16}"
+            )
+            elapsed = time.monotonic() - started
+            assert response.status == 404
+            assert len(held) == 3
+            assert elapsed < 2 * timeout_s, f"{elapsed:.2f}s for 3 hung shards"
+        finally:
+            for writer in held:
+                writer.close()
+            await teardown(router, hung)
 
     asyncio.run(main())
 
