@@ -38,31 +38,34 @@ def _avg_obfuscated_f1(detector, split, seed=77):
     return float(np.mean(f1s))
 
 
-def _trained(split, **overrides):
-    detector = JSRevealer(default_jsrevealer_config(**overrides))
+def _trained(split, detector_class=JSRevealer, **overrides):
+    detector = detector_class(default_jsrevealer_config(**overrides))
     detector.pretrain(split.pretrain.sources, split.pretrain.labels)
     detector.fit(split.train.sources, split.train.labels)
     return detector
+
+
+class _BinaryOccurrence(JSRevealer):
+    """Binary cluster occurrence instead of attention weights.
+
+    Every kept path's weight becomes uniform, so feature values count
+    cluster membership only.  The override sits on the prefix's embed
+    step, so both ``fit`` and the in-process scans that score the arm
+    aggregate with it.
+    """
+
+    def embed_script(self, contexts, return_indices=False):
+        vectors, weights, kept = super().embed_script(contexts, return_indices=True)
+        if len(weights):
+            weights = np.full_like(weights, 1.0 / len(weights))
+        return (vectors, weights, kept) if return_indices else (vectors, weights)
 
 
 @pytest.mark.table
 def test_ablation_weights_vs_binary(ablation_split, benchmark):
     """Sec. III-D argues for attention weights over binary occurrence."""
     weighted = _trained(ablation_split)
-
-    binary = _trained(ablation_split)
-    # Replace the aggregation with binary cluster occurrence: every path's
-    # weight becomes uniform, so feature values count membership only.
-    original = binary.embed_script
-
-    def binary_embed(contexts):
-        vectors, weights = original(contexts)
-        if len(weights):
-            weights = np.full_like(weights, 1.0 / len(weights))
-        return vectors, weights
-
-    binary.embed_script = binary_embed
-    binary.fit(ablation_split.train.sources, ablation_split.train.labels)
+    binary = _trained(ablation_split, detector_class=_BinaryOccurrence)
 
     f1_weighted = _avg_obfuscated_f1(weighted, ablation_split)
     f1_binary = _avg_obfuscated_f1(binary, ablation_split)

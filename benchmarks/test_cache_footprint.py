@@ -33,8 +33,6 @@ import numpy as np
 
 from repro.core import JSRevealer, JSRevealerConfig
 from repro.datasets import build_realistic_corpus, experiment_split
-from repro.faults import build_embed_init
-from repro.faults.workers import _build_embed_state, _run_embed
 from repro.pipeline import BatchScanner, FeatureCache
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -114,8 +112,8 @@ def test_cache_footprint_at_default_capacity():
         if isinstance(value, np.ndarray)
     )
     fields = "+".join(sorted(vars(entries[0])))
-    state = _build_embed_state(build_embed_init(detector))
-    payload_bytes = [len(pickle.dumps(_run_embed(state, s))) for s in scripts[:PAYLOAD_SAMPLE]]
+    prefix = detector.parts()  # what a pool worker runs
+    payload_bytes = [len(pickle.dumps(prefix.script_row(s))) for s in scripts[:PAYLOAD_SAMPLE]]
 
     growth = rss_after - rss_before
     record = {

@@ -120,9 +120,6 @@ class AnalysisReport:
                 best = finding.severity
         return best
 
-    def findings_at_least(self, floor: str) -> list[Finding]:
-        return [f for f in self.findings if severity_at_least(f.severity, floor)]
-
     # ------------------------------------------------------------- serialize
 
     def to_dict(self) -> dict[str, Any]:

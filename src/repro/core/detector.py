@@ -1,66 +1,62 @@
 """The JSRevealer detector: the paper's end-to-end pipeline.
 
 Stages (Fig. 1): path extraction → path embedding → feature extraction →
-classification.  The class exposes the paper's protocol directly:
+classification.  The first three run once per script and are defined once,
+in :class:`~repro.core.prefix.ScriptPrefix`; a detector is that prefix
+plus a classifier.  The class exposes the paper's protocol directly:
 
 * :meth:`pretrain` — train the attention embedding model on a held-out
   labeled set (the paper uses 5,000 scripts, 100 epochs).
-* :meth:`fit` — extract cluster features from the training corpus and fit
-  the final classifier (random forest by default).
+* :meth:`fit` — cluster the training corpus's kept path vectors
+  (:meth:`~ScriptPrefix.kept_paths`) into features and fit the final
+  classifier (random forest by default).
 * :meth:`scan` / :meth:`scan_batch` — classify unseen scripts into
   structured :class:`~repro.pipeline.results.ScanResult` records, with
-  optional worker-pool fan-out and content-addressed embedding caching.
+  optional worker-pool fan-out and content-addressed cluster-row caching;
+  every scanned script goes through :meth:`~ScriptPrefix.script_row`.
 * :meth:`predict` / :meth:`predict_proba` — array-returning wrappers over
   :meth:`scan_batch`, kept for the experiment/benchmark code paths.
 * :meth:`explain` — the RQ3 interpretability view: top features by forest
   importance with their central paths.
 
 Per-stage wall-clock accounting (for Table VIII) is kept in
-:attr:`stage_seconds`.
+:attr:`stage_seconds`: the prefix's per-file layer times, and fit's and
+each batch's own stages.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import time
 from collections import defaultdict
-from collections.abc import Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.embedding import PathEmbedder
-from repro.jsparser import JSSyntaxError
-from repro.paths import ExtractionError, PathContext, PathExtractor
+from repro.paths import PathExtractor
 
 from .config import JSRevealerConfig
 from .features import FeatureExtractor
+from .prefix import ScriptPrefix
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.faults import QuarantineJournal, ScanLimits
     from repro.pipeline import FeatureCache, ScanReport, ScanResult
 
-
-def embed_capped(
-    embedder: PathEmbedder,
-    contexts: Sequence[PathContext],
-    max_paths: int,
-    return_indices: bool = False,
-) -> tuple[np.ndarray, np.ndarray] | tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Embed one script's paths, keeping its ``max_paths`` highest-weighted.
-
-    Shared by :meth:`JSRevealer.embed_script` (the detector's embedder)
-    and the scan-pool workers (their private copy of it).
-    """
-    vectors, weights = embedder.embed(contexts)
-    kept = np.arange(len(vectors))
-    if len(vectors) > max_paths:
-        kept = np.argsort(weights)[::-1][:max_paths]
-        vectors, weights = vectors[kept], weights[kept]
-    if return_indices:
-        return vectors, weights, kept
-    return vectors, weights
+#: Settings the raw cluster row depends on besides the model tensors; the
+#: fingerprint hashes them too.
+_ROW_SETTINGS = (
+    "assignment",
+    "assign_radius_factor",
+    "max_paths_per_script",
+    "max_path_length",
+    "max_path_width",
+    "use_dataflow",
+)
 
 
 @dataclass
@@ -73,7 +69,7 @@ class Explanation:
     cluster_size: int
 
 
-class JSRevealer:
+class JSRevealer(ScriptPrefix):
     """Obfuscation-robust malicious JavaScript detector.
 
     Usage::
@@ -89,26 +85,29 @@ class JSRevealer:
     def __init__(self, config: JSRevealerConfig | None = None):
         self.config = config or JSRevealerConfig()
         self.config.validate()
-        self.extractor = PathExtractor(
-            max_length=self.config.max_path_length,
-            max_width=self.config.max_path_width,
-            use_dataflow=self.config.use_dataflow,
-        )
-        self.embedder = PathEmbedder(
-            embed_dim=self.config.embed_dim,
-            epochs=self.config.pretrain_epochs,
-            lr=self.config.pretrain_lr,
-            seed=self.config.seed,
-        )
-        self.feature_extractor = FeatureExtractor(
-            k_benign=self.config.k_benign,
-            k_malicious=self.config.k_malicious,
-            contamination=self.config.contamination,
-            overlap_threshold=self.config.overlap_threshold,
-            use_metaod=self.config.use_metaod,
-            seed=self.config.seed,
-            assign_radius_factor=self.config.assign_radius_factor,
-            assignment=self.config.assignment,
+        super().__init__(
+            PathExtractor(
+                max_length=self.config.max_path_length,
+                max_width=self.config.max_path_width,
+                use_dataflow=self.config.use_dataflow,
+            ),
+            PathEmbedder(
+                embed_dim=self.config.embed_dim,
+                epochs=self.config.pretrain_epochs,
+                lr=self.config.pretrain_lr,
+                seed=self.config.seed,
+            ),
+            FeatureExtractor(
+                k_benign=self.config.k_benign,
+                k_malicious=self.config.k_malicious,
+                contamination=self.config.contamination,
+                overlap_threshold=self.config.overlap_threshold,
+                use_metaod=self.config.use_metaod,
+                seed=self.config.seed,
+                assign_radius_factor=self.config.assign_radius_factor,
+                assignment=self.config.assignment,
+            ),
+            self.config.max_paths_per_script,
         )
         self.classifier = self.config.classifier_factory()
         self.stage_seconds: dict[str, float] = defaultdict(float)
@@ -118,48 +117,19 @@ class JSRevealer:
 
     # ------------------------------------------------------------ plumbing
 
+    def record_stages(self, ms: dict[str, float]) -> None:
+        """Add one measurement per stage (``{stage: ms}``) to :attr:`stage_seconds`."""
+        for stage, value in ms.items():
+            self.stage_seconds[stage] += value / 1000.0
+            self.stage_counts[stage] += 1
+
+    @contextmanager
     def _timed(self, stage: str):
-        detector = self
-
-        class _Timer:
-            def __enter__(self):
-                self.start = time.perf_counter()
-                return self
-
-            def __exit__(self, *exc):
-                detector.stage_seconds[stage] += time.perf_counter() - self.start
-                detector.stage_counts[stage] += 1
-                return False
-
-        return _Timer()
-
-    def extract_paths(self, source: str) -> Sequence[PathContext]:
-        """Stage 1: parse + enhanced AST + bounded path contexts.
-
-        Returns a :class:`~repro.paths.PathTable`.  Unparseable sources
-        yield no paths (real corpora contain fragments; the paper's tooling
-        skips them the same way).
-        """
-        with self._timed("path_extraction"):
-            try:
-                return self.extractor.extract_from_source(source)
-            except (JSSyntaxError, ExtractionError, RecursionError):
-                return []
-
-    def embed_script(
-        self, contexts: Sequence[PathContext], return_indices: bool = False
-    ) -> tuple[np.ndarray, np.ndarray] | tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Stage 2: FC-layer path vectors + attention weights.
-
-        With ``return_indices=True`` the indices (into ``contexts``) of the
-        rows that survived the ``max_paths_per_script`` cap are returned as
-        a third element, so callers can keep per-path metadata (signatures)
-        aligned with the vectors.  Untimed: callers account the
-        ``embedding`` stage (the batch scanner does so per script).
-        """
-        return embed_capped(
-            self.embedder, contexts, self.config.max_paths_per_script, return_indices
-        )
+        started = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.record_stages({stage: 1000.0 * (time.perf_counter() - started)})
 
     # ------------------------------------------------------------- pretrain
 
@@ -184,14 +154,13 @@ class JSRevealer:
         embedded: list[tuple[np.ndarray, np.ndarray]] = []
         signatures: list[list[str]] = []
         for source in sources:
-            contexts = self.extract_paths(source)
-            with self._timed("embedding"):
-                vectors, weights, kept = self.embed_script(contexts, return_indices=True)
-            embedded.append((vectors, weights))
+            paths = self.kept_paths(source)
+            self.record_stages(paths.ms)
+            embedded.append((paths.vectors, paths.weights))
             # Signatures follow the kept-index array so that when the path
             # cap drops low-weight rows, each signature still names the path
             # its vector came from; only the kept contexts are built.
-            signatures.append([contexts[int(j)].signature() for j in kept])
+            signatures.append([paths.contexts[int(j)].signature() for j in paths.kept])
 
         benign_vectors, benign_sigs = self._pool(embedded, signatures, labels, 0)
         malicious_vectors, malicious_sigs = self._pool(embedded, signatures, labels, 1)
@@ -220,16 +189,6 @@ class JSRevealer:
         return np.vstack(vectors), sigs
 
     # -------------------------------------------------------------- predict
-
-    def features_for(self, sources: list[str]) -> np.ndarray:
-        """Normalized cluster-feature matrix for a batch of scripts."""
-        rows = []
-        for source in sources:
-            contexts = self.extract_paths(source)
-            with self._timed("embedding"):
-                rows.append(self.feature_extractor.transform_script(*self.embed_script(contexts)))
-        with self._timed("feature_transform"):
-            return self.feature_extractor.transform(rows)
 
     def scan(self, source: str, threshold: float = 0.5) -> "ScanResult":
         """Scan one script, returning a structured :class:`ScanResult`."""
@@ -375,18 +334,22 @@ class JSRevealer:
     # ----------------------------------------------------------- fingerprint
 
     def fingerprint(self) -> str:
-        """SHA-256 over the model's tensors (same content persistence saves).
+        """SHA-256 over everything a script's raw cluster row depends on.
 
-        Namespaces the content-addressed embedding cache and is stored in
-        ``model.json`` (format version 2), so caches written by one trained
-        model are invisible to every other.  Hashed once per model:
-        :meth:`pretrain`, :meth:`fit` and ``load_detector`` reset it.
+        That is the model's tensors (the content persistence saves) and the
+        settings in ``_ROW_SETTINGS``: the path limits, the path cap and
+        the cluster assignment rule.  It namespaces the content-addressed
+        cluster-row cache and is stored in ``model.json`` (format version
+        3), so rows computed by one model are invisible to every other.
+        Hashed once per model: :meth:`pretrain`, :meth:`fit` and
+        ``load_detector`` reset it.
         """
         if self._fingerprint is None:
-            self._fingerprint = self._hash_tensors()
+            self._fingerprint = self._digest(settings=True)
         return self._fingerprint
 
-    def _hash_tensors(self) -> str:
+    def _digest(self, settings: bool) -> str:
+        """The fingerprint hash; ``settings=False`` is the tensor-only rule of format version 2."""
         digest = hashlib.sha256()
         parameters = self.embedder.model.parameters()
         for name in sorted(parameters):
@@ -396,6 +359,9 @@ class JSRevealer:
             digest.update(np.ascontiguousarray(feature.center, dtype=np.float64).tobytes())
             digest.update(np.float64(feature.radius).tobytes())
             digest.update(np.int64(feature.size).tobytes())
+        if settings:
+            row_settings = {name: getattr(self.config, name) for name in _ROW_SETTINGS}
+            digest.update(json.dumps(row_settings, sort_keys=True).encode())
         return digest.hexdigest()
 
     # ---------------------------------------------------------------- stats

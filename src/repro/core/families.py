@@ -53,7 +53,7 @@ class FamilyClassifier:
             raise ValueError("sources and families length mismatch")
         if not sources:
             raise ValueError("empty training set")
-        X = self.detector.features_for(sources)
+        X = self._features(sources)
         self.families_ = sorted(set(families))
         index_of = {f: i for i, f in enumerate(self.families_)}
         y = np.array([index_of[f] for f in families])
@@ -63,14 +63,18 @@ class FamilyClassifier:
     def predict(self, sources: list[str]) -> list[str]:
         if not self.families_:
             raise RuntimeError("FamilyClassifier used before fit()")
-        X = self.detector.features_for(sources)
-        indices = self.classifier.predict(X)
+        indices = self.classifier.predict(self._features(sources))
         return [self.families_[int(i)] for i in indices]
 
     def predict_proba(self, sources: list[str]) -> np.ndarray:
         if not self.families_:
             raise RuntimeError("FamilyClassifier used before fit()")
-        return self.classifier.predict_proba(self.detector.features_for(sources))
+        return self.classifier.predict_proba(self._features(sources))
+
+    def _features(self, sources: list[str]) -> np.ndarray:
+        """Eq. 6-normalized cluster rows, each from the detector's per-script prefix."""
+        detector = self.detector
+        return detector.feature_extractor.transform([detector.script_row(s).row for s in sources])
 
     def evaluate(self, sources: list[str], families: list[str]) -> list[FamilyReport]:
         """Per-family precision/recall on a labeled set."""

@@ -21,10 +21,13 @@ from .detector import JSRevealer
 from .features import ClusterFeature
 
 #: Version 2 added ``model_fingerprint`` (SHA-256 of the model tensors,
-#: namespacing the content-addressed embedding cache).  Version-1 models
-#: still load; their fingerprint is derived from the loaded tensors.
-FORMAT_VERSION = 2
-_SUPPORTED_VERSIONS = (1, 2)
+#: namespacing the content-addressed cluster-row cache); version 3 hashes
+#: the settings the row depends on too (``JSRevealer.fingerprint``).
+#: Version-2 files still load, their stored value checked against the
+#: tensor-only rule; version-1 models have none to check.  A loaded model
+#: of either older version takes the version-3 fingerprint.
+FORMAT_VERSION = 3
+_SUPPORTED_VERSIONS = (1, 2, 3)
 
 
 def save_detector(detector: JSRevealer, directory: str | Path) -> Path:
@@ -105,12 +108,15 @@ def load_detector(directory: str | Path) -> JSRevealer:
     detector._fingerprint = None  # hash the loaded tensors, not the constructor's
 
     # Version 1 predates stored fingerprints: derive one from the loaded
-    # tensors.  For version 2 the stored value must match the tensors, so a
-    # hand-edited npz can never silently reuse another model's cache.
-    derived = detector.fingerprint()
+    # model.  Otherwise the stored value must match the model under its
+    # version's rule, so a hand-edited npz can never silently reuse another
+    # model's cache.
     stored = meta.get("model_fingerprint")
-    if stored is not None and stored != derived:
-        raise ValueError("model_fingerprint does not match model tensors; refusing to load")
+    if stored is not None:
+        legacy = meta["format_version"] == 2
+        derived = detector._digest(settings=False) if legacy else detector.fingerprint()
+        if stored != derived:
+            raise ValueError("model_fingerprint does not match the model; refusing to load")
     return detector
 
 

@@ -60,11 +60,6 @@ class NormalizeContext:
     def expired(self) -> bool:
         return self.deadline is not None and time.monotonic() > self.deadline
 
-    def remaining_s(self) -> float | None:
-        if self.deadline is None:
-            return None
-        return max(0.0, self.deadline - time.monotonic())
-
 
 class Transform:
     """One named rewrite stage; subclasses override :meth:`apply`."""

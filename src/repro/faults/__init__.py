@@ -42,7 +42,6 @@ from .workers import (
     IsolatedPool,
     Outcome,
     Task,
-    build_embed_init,
 )
 
 __all__ = [
@@ -72,7 +71,6 @@ __all__ = [
     "Task",
     "classify_shard_fault",
     "apply_rlimits",
-    "build_embed_init",
     "maybe_inject",
     "maybe_inject_boot",
     "read_rusage",

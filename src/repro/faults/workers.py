@@ -23,6 +23,12 @@ deadlines itself via ``multiprocessing.connection.wait`` + SIGKILL.
 Workers record no spans: an :class:`Outcome` carries the task's measured
 run time and the answering worker's pid, and the caller builds its
 ``worker.<kind>`` span from those (see :class:`~repro.pipeline.BatchScanner`).
+
+An embed task is one call of
+:meth:`~repro.core.prefix.ScriptPrefix.script_row` on the prefix the pool
+was built with (a plain prefix over a fitted detector's parts), the same
+call an in-process scan makes on the detector itself; its payload is the
+:class:`~repro.core.prefix.ScriptRow`.
 """
 
 from __future__ import annotations
@@ -33,13 +39,13 @@ import signal
 import time
 import weakref
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, NamedTuple
+from typing import TYPE_CHECKING, Any
 
 from .inject import InjectedFault, maybe_inject
 from .limits import ScanLimits, apply_rlimits, read_rusage
 
 if TYPE_CHECKING:  # pragma: no cover
-    import numpy as np
+    from repro.core.prefix import ScriptPrefix
 
 CAUSE_TIMEOUT = "timeout"
 CAUSE_OOM = "oom"
@@ -72,7 +78,7 @@ class Outcome:
     index: int
     kind: str
     ok: bool
-    payload: Any = None  # embed: an EmbedPayload; analyze: an AnalysisReport dict
+    payload: Any = None  # embed: a ScriptRow; analyze: an AnalysisReport dict
     cause: str | None = None  # FAULT_CAUSES member when not ok
     detail: str | None = None
     rusage: dict | None = None
@@ -80,125 +86,14 @@ class Outcome:
     pid: int | None = None  # the worker that replied; ``None`` when none did
 
 
-class EmbedPayload(NamedTuple):
-    """One script's per-script prefix, as :func:`_run_embed` returns it."""
-
-    row: "np.ndarray"  # (n_features,) raw cluster row: Sec. III-D before Eq. 6
-    path_count: int  # contexts extracted before the per-script cap
-    extract_ms: float
-    embed_ms: float  # embedding, the path cap and the cluster row
-    status: str  # "ok" | "parse_error"
-    top_paths: list[dict] | None  # attention provenance, when traced
-
-
 # ----------------------------------------------------------------- worker side
 
 
-def build_embed_init(detector) -> dict:
-    """Freeze a fitted detector's per-script pipeline for workers."""
-    import numpy as np
-
-    config = detector.config
-    return {
-        "extractor_kwargs": {
-            "max_length": config.max_path_length,
-            "max_width": config.max_path_width,
-            "use_dataflow": config.use_dataflow,
-        },
-        "embed_dim": detector.embedder.model.embed_dim,
-        "parameters": {
-            name: np.ascontiguousarray(tensor)
-            for name, tensor in detector.embedder.model.parameters().items()
-        },
-        "max_paths": config.max_paths_per_script,
-        "feature_extractor": detector.feature_extractor,
-    }
-
-
-def _build_embed_state(init: dict) -> dict:
-    """A worker's private extractor, capped embed and cluster features."""
-    from functools import partial
-
-    from repro.core.detector import embed_capped
-    from repro.embedding import PathEmbedder
-    from repro.paths import PathExtractor
-
-    embedder = PathEmbedder(embed_dim=init["embed_dim"])
-    embedder.model.load_parameters(init["parameters"])
-    embedder._trained = True
-    return {
-        "extractor": PathExtractor(**init["extractor_kwargs"]),
-        "embed_script": partial(embed_capped, embedder, max_paths=init["max_paths"]),
-        "feature_extractor": init["feature_extractor"],
-    }
-
-
-def _run_embed(state: dict, source: str, capture_paths: bool = False) -> EmbedPayload:
-    """Extract, embed and aggregate one script: the per-script prefix of detection.
-
-    The prefix ends at the script's raw cluster row
-    (:meth:`~repro.core.features.FeatureExtractor.transform_script`):
-    Eq. 6 normalizes each row by its own min and max, so the row is all
-    the classifier needs, and the kept path vectors and weights are
-    dropped here instead of being cached or piped back from a worker.
-    ``embed_ms`` covers the embedding, the path cap and the row.
-
-    ``state`` holds an ``extractor``, an ``embed_script`` with the
-    signature of :meth:`~repro.core.detector.JSRevealer.embed_script` and
-    a fitted ``feature_extractor``.  Pool workers pass their private
-    copies (:func:`_build_embed_state`);
-    :class:`~repro.pipeline.BatchScanner` scans in-process by passing the
-    detector's own extractor, ``embed_script`` and feature extractor.
-
-    With ``capture_paths`` the top attention-weighted path signatures ride
-    along as provenance (the Table VII evidence for a traced verdict).
-    """
-    from repro.jsparser import JSSyntaxError
-    from repro.paths import ExtractionError
-
-    status = "ok"
-    started = time.perf_counter()
-    try:
-        contexts = state["extractor"].extract_from_source(source)
-    except (JSSyntaxError, ExtractionError, RecursionError):
-        contexts = []
-        status = "parse_error"
-    extract_ms = 1000.0 * (time.perf_counter() - started)
-
-    started = time.perf_counter()
-    if capture_paths:
-        vectors, weights, kept = state["embed_script"](contexts, return_indices=True)
-    else:
-        vectors, weights = state["embed_script"](contexts)
-    row = state["feature_extractor"].transform_script(vectors, weights)
-    embed_ms = 1000.0 * (time.perf_counter() - started)
-    top_paths = _top_attention_paths(contexts, kept, weights) if capture_paths else None
-    return EmbedPayload(row, len(contexts), extract_ms, embed_ms, status, top_paths)
-
-
-def _top_attention_paths(contexts, kept, weights, k: int = 5) -> list[dict]:
-    """The ``k`` highest-attention kept paths as JSON-ready provenance.
-
-    ``weights[r]`` belongs to path ``kept[r]`` of ``contexts``; only the
-    ``k`` reported contexts are built.
-    """
-    import numpy as np
-
-    if len(kept) == 0 or len(kept) != len(weights):
-        return []
-    order = np.argsort(np.asarray(weights, dtype=float))[::-1][:k]
-    return [
-        {"path": contexts[int(kept[r])].signature(), "weight": round(float(weights[int(r)]), 6)}
-        for r in order
-    ]
-
-
-def _worker_main(conn, embed_init: dict | None, limits_dict: dict | None) -> None:
+def _worker_main(conn, prefix: "ScriptPrefix | None", limits_dict: dict | None) -> None:
     """Worker loop: apply rlimits, then answer tasks until told to stop."""
     limits = ScanLimits.from_dict(limits_dict)
     if limits is not None:
         apply_rlimits(limits)
-    embed_state: dict | None = None
     analyzer = None
     while True:
         try:
@@ -211,10 +106,8 @@ def _worker_main(conn, embed_init: dict | None, limits_dict: dict | None) -> Non
         started = time.perf_counter()
         try:
             if kind == "embed":
-                if embed_state is None:
-                    embed_state = _build_embed_state(embed_init)
                 maybe_inject(source, stage="embed")
-                payload = _run_embed(embed_state, source, capture_paths)
+                payload = prefix.script_row(source, capture_paths)
             elif kind == "analyze":
                 if analyzer is None:
                     from repro.analysis import Analyzer
@@ -250,12 +143,12 @@ def _worker_main(conn, embed_init: dict | None, limits_dict: dict | None) -> Non
 class _Worker:
     """One process + its private pipe + the task it is running."""
 
-    def __init__(self, ctx, embed_init: dict | None, limits: ScanLimits | None):
+    def __init__(self, ctx, prefix: "ScriptPrefix | None", limits: ScanLimits | None):
         parent_conn, child_conn = ctx.Pipe(duplex=True)
         self.conn = parent_conn
         self.process = ctx.Process(
             target=_worker_main,
-            args=(child_conn, embed_init, limits.to_dict() if limits is not None else None),
+            args=(child_conn, prefix, limits.to_dict() if limits is not None else None),
             daemon=True,
         )
         self.process.start()
@@ -305,8 +198,9 @@ class IsolatedPool:
     """Supervised pool of single-task workers with per-script deadlines.
 
     Args:
-        embed_init: Frozen pipeline config from :func:`build_embed_init`
-            (may be ``None`` for analyze-only pools, e.g. tests).
+        prefix: The per-script prefix embed tasks run
+            (:meth:`~repro.core.prefix.ScriptPrefix.parts` of a fitted
+            detector; ``None`` for analyze-only pools, e.g. tests).
         limits: Resource bounds applied inside each worker plus the
             parent-enforced wall-clock deadline; ``None`` runs tasks
             unbounded, with deaths still attributed and workers replaced.
@@ -316,13 +210,13 @@ class IsolatedPool:
 
     def __init__(
         self,
-        embed_init: dict | None,
+        prefix: "ScriptPrefix | None",
         limits: ScanLimits | None = None,
         n_workers: int = 1,
     ):
         if n_workers < 1:
             raise ValueError("n_workers must be positive")
-        self.embed_init = embed_init
+        self.prefix = prefix
         self.limits = limits
         self.n_workers = n_workers
         self._ctx = multiprocessing.get_context()
@@ -337,7 +231,7 @@ class IsolatedPool:
     # ------------------------------------------------------------- lifecycle
 
     def _spawn(self) -> _Worker:
-        worker = _Worker(self._ctx, self.embed_init, self.limits)
+        worker = _Worker(self._ctx, self.prefix, self.limits)
         self._workers.append(worker)
         return worker
 

@@ -228,14 +228,15 @@ class Lexer:
                 self.index += 1
             if self.index == digits_start:
                 raise self._error("Missing hexadecimal digits")
-        elif src[self.index] == "0" and self._peek(1) in ("o", "O"):
+        elif src[self.index] == "0" and self._peek(1) in ("o", "O", "b", "B"):
+            octal = self._peek(1) in ("o", "O")
+            allowed = "01234567" if octal else "01"
             self.index += 2
-            while self.index < self.length and src[self.index] in "01234567":
+            digits_start = self.index
+            while self.index < self.length and src[self.index] in allowed:
                 self.index += 1
-        elif src[self.index] == "0" and self._peek(1) in ("b", "B"):
-            self.index += 2
-            while self.index < self.length and src[self.index] in "01":
-                self.index += 1
+            if self.index == digits_start:
+                raise self._error("Missing octal digits" if octal else "Missing binary digits")
         else:
             while self.index < self.length and src[self.index] in _DECIMAL_DIGITS:
                 self.index += 1

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.jsparser import ast_nodes as ast
-from repro.jsparser import analyze_scopes, parse, generate
+from repro.jsparser import analyze_scopes
 from repro.jsparser.visitor import walk, walk_with_parent
 
 #: Names that must never be produced by a renamer (reserved words + common
@@ -160,13 +160,6 @@ def collect_string_literals(program: ast.Program, min_length: int = 1) -> list[t
     return out
 
 
-def replace_node(parent: ast.Node | None, old: ast.Node, new: ast.Node, program: ast.Program) -> None:
-    """Swap ``old`` for ``new`` under ``parent`` (or at program top level)."""
-    target = parent if parent is not None else program
-    if not target.replace_child(old, new):
-        raise ValueError(f"{old!r} is not a child of {target!r}")
-
-
 def encrypt_properties(program: ast.Program, rng: np.random.Generator, probability: float = 0.8) -> int:
     """Property encryption (Sec. II-B): ``o.prop`` → ``o["prop"]``.
 
@@ -189,22 +182,3 @@ def encrypt_properties(program: ast.Program, rng: np.random.Generator, probabili
         node.computed = True
         count += 1
     return count
-
-
-def make_string_array_access(array_name: str, index: int) -> ast.MemberExpression:
-    """Build ``arrayName[index]``."""
-    return ast.MemberExpression(
-        ast.Identifier(array_name),
-        ast.Literal(index, str(index)),
-        computed=True,
-    )
-
-
-def fresh_program(source: str) -> ast.Program:
-    """Parse a new, independent AST for transformation."""
-    return parse(source)
-
-
-def to_source(program: ast.Program) -> str:
-    """Generate JavaScript text from a (transformed) AST."""
-    return generate(program)

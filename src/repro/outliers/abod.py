@@ -62,32 +62,3 @@ class FastABOD(BaseOutlierDetector):
         var = (pair_w * (pair_cos - mean[:, None]) ** 2).sum(axis=1) / safe_total
         var = np.where(total_w > 0, var, 0.0)
         return -var
-
-    @staticmethod
-    def _angle_variance(X: np.ndarray, i: int, neighborhood: np.ndarray) -> float:
-        """Weighted variance of angles point i forms with neighbor pairs.
-
-        Following Kriegel et al., each angle cosine is weighted by the
-        inverse product of the two difference-vector norms, emphasizing
-        close neighbors.
-        """
-        diffs = X[neighborhood] - X[i]
-        norms = np.linalg.norm(diffs, axis=1)
-        valid = norms > 1e-12
-        diffs, norms = diffs[valid], norms[valid]
-        m = len(diffs)
-        if m < 2:
-            return 0.0
-
-        # All pairwise dot products and norm products in one shot.
-        dot = diffs @ diffs.T
-        norm_prod = np.outer(norms, norms)
-        iu = np.triu_indices(m, k=1)
-        cos = dot[iu] / (norm_prod[iu] * norm_prod[iu])  # cos/(|a||b|) weighting
-        weights = 1.0 / norm_prod[iu]
-        total_weight = weights.sum()
-        if total_weight <= 0:
-            return 0.0
-        mean = float(np.sum(weights * cos) / total_weight)
-        var = float(np.sum(weights * (cos - mean) ** 2) / total_weight)
-        return var

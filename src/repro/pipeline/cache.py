@@ -3,15 +3,16 @@
 Path extraction dominates per-file cost (Table VIII: ~570 of ~900 ms), and
 real scanning workloads re-see the same scripts constantly (vendored
 libraries, CDN copies, re-crawls).  Extraction, embedding and cluster
-aggregation are pure functions of (source bytes, model tensors), so their
-output is cacheable under a content address:
+aggregation (:meth:`~repro.core.prefix.ScriptPrefix.script_row`) are pure
+functions of (source bytes, model), so their output is cacheable under a
+content address:
 
 * **key** — SHA-256 of the script source,
-* **namespace** — the detector's *model fingerprint* (hash of its saved
-  tensors, cluster centers and radii included), so a cache can never serve
-  a row computed by a retrained model.  The row also depends on the
-  ``assignment`` settings, which the fingerprint does not hash: models
-  that differ only there must not share a disk layer,
+* **namespace** — the detector's *model fingerprint*: a hash of its saved
+  tensors (cluster centers and radii included) and of every setting the
+  row depends on (path limits, ``use_dataflow``, the path cap, the
+  ``assignment`` rule and its radius factor), so a cache can never serve a
+  row computed by a retrained or differently configured model,
 * **value** — the script's raw cluster row (Sec. III-D, before Eq. 6's
   per-script min–max: ``n_features`` floats) plus the raw path count.
   Eq. 6 needs nothing beyond the row itself, so the post-cap path vectors

@@ -9,11 +9,11 @@ and stay in-process.  The scanner therefore:
 1. consults the content-addressed :class:`~repro.pipeline.cache.FeatureCache`
    (a script's raw cluster row is a pure function of source bytes + model
    parameters),
-2. runs every cache miss through one per-script function,
-   :func:`~repro.faults.workers._run_embed`, which ends at that raw row:
-   in-process on the detector's own extractor, embedder and feature
-   extractor, or in an :class:`~repro.faults.IsolatedPool` whose workers
-   hold a private copy of all three,
+2. runs every cache miss through the per-script prefix,
+   :meth:`~repro.core.prefix.ScriptPrefix.script_row`, which ends at that
+   raw row: in process on the detector itself (a detector is a prefix
+   plus a classifier), or in an :class:`~repro.faults.IsolatedPool` whose
+   workers hold a plain prefix over the detector's parts,
 3. stacks the batch's rows, min–max normalizes each by its own range
    (Eq. 6, :meth:`~repro.core.features.FeatureExtractor.transform`), runs
    the classifier once, and returns a structured
@@ -57,13 +57,12 @@ import numpy as np
 from repro.faults import (
     FAULT_CAUSES,
     IsolatedPool,
+    Outcome,
     QuarantineEntry,
     QuarantineJournal,
     ScanLimits,
     Task,
-    build_embed_init,
 )
-from repro.faults.workers import EmbedPayload, Outcome, _run_embed
 from repro.ml import DecisionTreeClassifier, RandomForestClassifier
 from repro.obs.trace import SpanContext, trace_spans
 
@@ -73,6 +72,7 @@ from .results import STAGE_KEYS, STATUS_OK, ScanReport, ScanResult
 if TYPE_CHECKING:  # pragma: no cover
     from repro.analysis import Analyzer, AnalysisReport
     from repro.core.detector import JSRevealer
+    from repro.core.prefix import ScriptRow
     from repro.deobfuscate import Deobfuscator, NormalizationReport
     from repro.obs import MetricsRegistry, Span, Tracer
 
@@ -249,7 +249,7 @@ class BatchScanner:
     def _ensure_pool(self) -> IsolatedPool:
         if self._pool is None:
             self._pool = IsolatedPool(
-                build_embed_init(self.detector), limits=self.limits, n_workers=self.n_workers
+                self.detector.parts(), limits=self.limits, n_workers=self.n_workers
             )
         return self._pool
 
@@ -407,14 +407,9 @@ class BatchScanner:
                     f"warning: worker pool failed ({error!r}); scanning sequentially",
                     file=sys.stderr,
                 )
-        embed_state = {
-            "extractor": detector.extractor,
-            "embed_script": detector.embed_script,
-            "feature_extractor": detector.feature_extractor,
-        }
         for script in pending:  # in-process path + pool backstop
             if script.entry is None and script.status not in FAULT_CAUSES:
-                self._settle(script, _run_embed(embed_state, script.source, recording))
+                self._settle(script, detector.script_row(script.source, recording))
         if self.cache is not None:
             for script in pending:
                 # Only clean rows are cached: a parse_error entry would
@@ -707,20 +702,15 @@ class BatchScanner:
 
     # ------------------------------------------------------------ embedding
 
-    def _settle(self, script: _Script, payload: EmbedPayload) -> None:
-        """Land one :func:`_run_embed` result, pooled or in-process."""
-        script.entry = CacheEntry(row=payload.row, path_count=payload.path_count)
-        script.status = payload.status
-        script.ms["path_extraction"] = payload.extract_ms
-        script.ms["embedding"] = payload.embed_ms
-        script.top_paths = payload.top_paths
+    def _settle(self, script: _Script, scripted: "ScriptRow") -> None:
+        """Land one :meth:`~repro.core.prefix.ScriptPrefix.script_row` result, pooled or in-process."""
+        script.entry = CacheEntry(row=scripted.row, path_count=scripted.path_count)
+        script.status = scripted.status
+        script.ms.update(scripted.ms)
+        script.top_paths = scripted.top_paths
         # Worker CPU time lands in the detector's Table VIII accounting too,
         # even though wall-clock overlaps under the pool.
-        detector = self.detector
-        detector.stage_seconds["path_extraction"] += payload.extract_ms / 1000.0
-        detector.stage_counts["path_extraction"] += 1
-        detector.stage_seconds["embedding"] += payload.embed_ms / 1000.0
-        detector.stage_counts["embedding"] += 1
+        self.detector.record_stages(scripted.ms)
 
     def _embed_pooled(self, pending: list[_Script], capture_paths: bool) -> None:
         """Run pending scripts through the worker pool.

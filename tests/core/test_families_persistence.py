@@ -1,5 +1,7 @@
 """Unit tests for family classification, persistence, and the CLI."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -69,9 +71,30 @@ class TestPersistence:
 
         save_detector(detector, tmp_path / "m5")
         meta = json.loads((tmp_path / "m5" / "model.json").read_text())
-        assert meta["format_version"] == 2
+        assert meta["format_version"] == 3
         assert meta["model_fingerprint"] == detector.fingerprint()
         assert load_detector(tmp_path / "m5").fingerprint() == detector.fingerprint()
+
+    def test_version2_model_loads_under_the_tensor_only_rule(self, detector, split, tmp_path):
+        import json
+
+        save_detector(detector, tmp_path / "m9")
+        meta_path = tmp_path / "m9" / "model.json"
+        meta = json.loads(meta_path.read_text())
+        meta["format_version"] = 2
+        meta["model_fingerprint"] = detector._digest(settings=False)
+        meta_path.write_text(json.dumps(meta))
+
+        loaded = load_detector(tmp_path / "m9")
+        # Loaded, it takes today's fingerprint, so its cache namespace moves.
+        assert loaded.fingerprint() == detector.fingerprint() != meta["model_fingerprint"]
+        assert np.array_equal(loaded.predict(split.test.sources[:4]), detector.predict(split.test.sources[:4]))
+
+        # A version-2 file is checked by its own rule: today's value is a mismatch.
+        meta["model_fingerprint"] = detector.fingerprint()
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(ValueError):
+            load_detector(tmp_path / "m9")
 
     def test_version1_model_loads_with_derived_fingerprint(self, detector, split, tmp_path):
         import json
@@ -124,6 +147,50 @@ class TestPersistence:
         meta_path.write_text(json.dumps(meta))
         with pytest.raises(ValueError):
             load_detector(tmp_path / "m7")
+
+
+def _twin(detector: JSRevealer, **settings) -> JSRevealer:
+    """A fitted detector with ``detector``'s tensors and forest but other settings."""
+    twin = JSRevealer(dataclasses.replace(detector.config, **settings))
+    twin.embedder = detector.embedder
+    twin.feature_extractor.features_ = detector.feature_extractor.features_
+    twin.classifier = detector.classifier
+    twin._fitted = True
+    return twin
+
+
+class TestFingerprintCoversRowSettings:
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            {"assignment": "hard"},
+            {"assign_radius_factor": 1.5},
+            {"max_paths_per_script": 40},
+            {"max_path_length": 8},
+            {"max_path_width": 3},
+            {"use_dataflow": False},
+        ],
+        ids=lambda settings: next(iter(settings)),
+    )
+    def test_each_row_setting_moves_the_fingerprint(self, detector, settings):
+        twin = _twin(detector, **settings)
+        assert twin._digest(settings=False) == detector._digest(settings=False)
+        assert twin.fingerprint() != detector.fingerprint()
+
+    def test_seed_alone_keeps_the_fingerprint(self, detector):
+        assert _twin(detector, seed=detector.config.seed + 1).fingerprint() == detector.fingerprint()
+
+    def test_soft_and_hard_twins_share_no_cache_rows(self, detector, split, tmp_path):
+        soft, hard = detector, _twin(detector, assignment="hard")
+        sources = split.test.sources[:8]
+        cache_dir = str(tmp_path / "cache")
+        first = soft.scan_batch(sources, cache_dir=cache_dir)
+        shared = hard.scan_batch(sources, cache_dir=cache_dir)
+        assert shared.cache_hits == 0
+        alone = hard.scan_batch(sources)
+        assert shared.probability_matrix.tobytes() == alone.probability_matrix.tobytes()
+        # The rule matters here: soft's rows would have answered differently.
+        assert first.probability_matrix.tobytes() != alone.probability_matrix.tobytes()
 
 
 class TestFamilyClassifier:

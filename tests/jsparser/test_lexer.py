@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.jsparser import JSSyntaxError, TokenType, tokenize
+from repro.jsparser import JSSyntaxError, TokenType, parse, tokenize
 
 
 def kinds(source):
@@ -68,6 +68,15 @@ class TestNumbers:
     def test_missing_hex_digits_is_error(self):
         with pytest.raises(JSSyntaxError):
             tokenize("0x")
+
+    @pytest.mark.parametrize("src", ["0o", "0O", "0b", "0B", "0o8", "0b2"])
+    def test_missing_octal_or_binary_digits_is_a_syntax_error(self, src):
+        # The parser would turn the digitless token into int("0o", 8): a
+        # bare ValueError that escapes every JSSyntaxError handler.
+        with pytest.raises(JSSyntaxError, match="Missing (octal|binary) digits"):
+            tokenize(src)
+        with pytest.raises(JSSyntaxError):
+            parse(src)
 
     @pytest.mark.parametrize("src", ["0²", "1.²", "1e²", "3٣"])
     def test_unicode_digits_never_extend_a_number(self, src):

@@ -6,10 +6,10 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.core import JSRevealer, JSRevealerConfig
+from repro.core import FamilyClassifier, JSRevealer, JSRevealerConfig
+from repro.core.prefix import ScriptPrefix
 from repro.datasets import experiment_split
-from repro.faults import ScanLimits, build_embed_init
-from repro.faults.workers import _build_embed_state, _run_embed
+from repro.faults import ScanLimits
 from repro.ml import (
     BernoulliNB,
     DecisionTreeClassifier,
@@ -78,6 +78,16 @@ class TestParallelEquivalence:
         assert report.n_files == 1
         assert report.results[0].path_count == 0
 
+    @pytest.mark.parametrize(
+        "options",
+        [{}, {"n_workers": 2}, {"limits": ScanLimits(timeout_s=30.0)}, {"triage": True}],
+        ids=["in-process", "pooled", "limits", "triage"],
+    )
+    def test_digitless_binary_literal_is_a_parse_error_not_a_batch_failure(self, detector, options):
+        report = detector.scan_batch(["var x = 1; f(x);", "0b", "g(2);"], **options)
+        assert [r.status for r in report.results] == ["ok", "parse_error", "ok"]
+        assert report.results[1].path_count == 0
+
 
 class TestCacheIntegration:
     def test_second_scan_hits(self, detector, split):
@@ -113,8 +123,7 @@ class TestCacheIntegration:
             assert cache.get(content_key(source)).row.shape == (n_features,)
         # What a pool worker pipes back for one script: the row, not the
         # 300 kept path vectors and their weights.
-        state = _build_embed_state(build_embed_init(detector))
-        assert len(pickle.dumps(_run_embed(state, sources[0]))) < 4096
+        assert len(pickle.dumps(detector.parts().script_row(sources[0]))) < 4096
 
     def test_report_carries_fingerprint(self, detector, split):
         report = detector.scan_batch(split.test.sources[:2])
@@ -277,6 +286,72 @@ class TestDetectorScanAPI:
         isolated = detector.scan_batch(split.test.sources[:4], limits=ScanLimits(timeout_s=30.0))
         assert [r.status for r in isolated.results] == ["ok"] * 4
         assert set(multiprocessing.active_children()) - before == set()
+
+
+class TestOnePrefix:
+    """Every scan path, fit and FamilyClassifier run one per-script prefix."""
+
+    def test_rows_and_path_counts_equal_on_every_path(self, detector, split, monkeypatch):
+        sources = split.test.sources[:6]
+        rows: dict[str, list[bytes]] = {}
+        counts: dict[str, list[int]] = {}
+        for name, options in (
+            ("in-process", {}),
+            ("pooled", {"n_workers": 2}),
+            ("isolated", {"limits": ScanLimits(timeout_s=30.0)}),
+        ):
+            cache = FeatureCache(detector.fingerprint())
+            with BatchScanner(detector, cache=cache, **options) as scanner:
+                report = scanner.scan(sources)
+            assert report.workers_used == options.get("n_workers", 1)
+            rows[name] = [cache.get(content_key(s)).row.tobytes() for s in sources]
+            counts[name] = [r.path_count for r in report.results]
+
+        # The raw rows FamilyClassifier trains on, caught at the Eq. 6 call.
+        features = detector.feature_extractor
+        caught: list[list[np.ndarray]] = []
+        transform = features.transform
+        monkeypatch.setattr(features, "transform", lambda batch: caught.append(batch) or transform(batch))
+        FamilyClassifier(detector, n_estimators=2).fit(sources, ["a", "b"] * 3)
+        rows["family"] = [row.tobytes() for row in caught[0]]
+
+        assert rows["pooled"] == rows["in-process"]
+        assert rows["isolated"] == rows["in-process"]
+        assert rows["family"] == rows["in-process"]
+        assert counts["pooled"] == counts["isolated"] == counts["in-process"]
+        assert counts["in-process"] == [len(detector.extract_paths(s)) for s in sources]
+
+    def test_scan_embeds_each_script_once_keeping_fits_indices(self, detector, split, monkeypatch):
+        sources = split.test.sources[:4]
+        calls: list[tuple] = []
+        embed_script = JSRevealer.embed_script
+
+        def counting(self, contexts, return_indices=False):
+            result = embed_script(self, contexts, return_indices)
+            calls.append(result)
+            return result
+
+        monkeypatch.setattr(JSRevealer, "embed_script", counting)
+        BatchScanner(detector).scan(sources)
+        scanned = list(calls)
+        assert len(scanned) == len(sources)
+        for source, (vectors, weights, kept) in zip(sources, scanned):
+            paths = detector.kept_paths(source)
+            assert len(kept) == detector.max_paths < len(paths.contexts)
+            assert np.array_equal(paths.kept, kept)
+            assert paths.vectors.tobytes() == vectors.tobytes()
+            assert paths.weights.tobytes() == weights.tobytes()
+
+    def test_workers_receive_a_plain_prefix_over_the_detectors_parts(self, detector):
+        prefix = detector.parts()
+        assert type(prefix) is ScriptPrefix
+        assert prefix.embedder is detector.embedder
+        assert prefix.feature_extractor is detector.feature_extractor
+        assert prefix.extractor is detector.extractor
+        assert prefix.max_paths == detector.config.max_paths_per_script
+        clone = pickle.loads(pickle.dumps(prefix))
+        source = "var a = [1, 2]; a.push(3); f(a);"
+        assert clone.script_row(source).row.tobytes() == detector.script_row(source).row.tobytes()
 
 
 class TestKeptIndexAlignment:
