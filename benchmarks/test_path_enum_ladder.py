@@ -6,10 +6,11 @@ the ≈582 ms detection costs per 62 KB file, and this ladder shows how
 that layer's cost grows with script size.  Each rung is a seeded
 concatenation of ``repro.datasets`` generator output.  Per rung the bench
 records the leaf count, the leaf pairs the all-pairs oracle tests, the
-paths emitted, enumeration and featurize time for the oracle and for the
-production code, and the time of one full ``JSRevealer.scan``.
+paths emitted, the data-flow time (``dataflow_ms``: ``build_enhanced_ast``
+on the parsed program), enumeration and featurize time for the oracle and
+for the production code, and the time of one full ``JSRevealer.scan``.
 Enumeration starts from the same enhanced AST on both sides, so parse
-and data-flow time are left out.  The oracle is the code the production
+and data-flow time are left out of it.  The oracle is the code the production
 functions replaced, leaf values included: it resolves declaration names
 by scanning every scope, twice per kept path.  Oracle times are one run;
 production times are the best of ``REPRO_BENCH_REPS`` runs (at least 3).
@@ -64,7 +65,8 @@ def measure_rung(kib: int, detector, reps: int) -> dict:
     source = oracle.concatenated_script(kib * 1024, seed=SEED)
     config = detector.config
     extractor = PathExtractor(config.max_path_length, config.max_path_width, config.use_dataflow)
-    enhanced = (build_enhanced_ast if config.use_dataflow else build_regular_ast)(parse(source))
+    program = parse(source)
+    enhanced = (build_enhanced_ast if config.use_dataflow else build_regular_ast)(program)
     featurizer = PathFeaturizer()
 
     expected, oracle_enum_ms = timed(
@@ -75,6 +77,7 @@ def measure_rung(kib: int, detector, reps: int) -> dict:
     features = featurizer.transform(paths)
     identical = list(paths) == expected and features.tobytes() == expected_features.tobytes()
 
+    dataflow_ms = best_ms(build_enhanced_ast, program, reps=reps)
     enum_ms = best_ms(extractor.extract, enhanced, reps=reps)
     featurize_ms = best_ms(featurizer.transform, paths, reps=reps)
     scan_ms = best_ms(detector.scan, source, reps=reps)
@@ -85,6 +88,7 @@ def measure_rung(kib: int, detector, reps: int) -> dict:
         "leaves": leaves,
         "pairs_tested_by_oracle": leaves * (leaves - 1) // 2,
         "paths": len(paths),
+        "dataflow_ms": round(dataflow_ms, 2),
         "oracle_enum_ms": round(oracle_enum_ms, 2),
         "enum_ms": round(enum_ms, 2),
         "enum_speedup": round(oracle_enum_ms / enum_ms, 2),
@@ -101,12 +105,12 @@ def test_path_enum_ladder(detector):
     rungs = [measure_rung(kib, detector, reps) for kib in RUNGS_KIB]
 
     print("\nPath enumeration ladder (ms per script)")
-    print(f"{'KiB':>4} {'leaves':>7} {'pairs':>10} {'paths':>7} {'enum old':>9} {'enum new':>9} "
-          f"{'feat old':>9} {'feat new':>9} {'scan':>8}")
+    print(f"{'KiB':>4} {'leaves':>7} {'pairs':>10} {'paths':>7} {'dataflow':>9} {'enum old':>9} "
+          f"{'enum new':>9} {'feat old':>9} {'feat new':>9} {'scan':>8}")
     for rung in rungs:
         print(f"{rung['kib']:>4} {rung['leaves']:>7} {rung['pairs_tested_by_oracle']:>10} {rung['paths']:>7} "
-              f"{rung['oracle_enum_ms']:>9.1f} {rung['enum_ms']:>9.1f} {rung['oracle_featurize_ms']:>9.1f} "
-              f"{rung['featurize_ms']:>9.1f} {rung['scan_ms']:>8.1f}")
+              f"{rung['dataflow_ms']:>9.1f} {rung['oracle_enum_ms']:>9.1f} {rung['enum_ms']:>9.1f} "
+              f"{rung['oracle_featurize_ms']:>9.1f} {rung['featurize_ms']:>9.1f} {rung['scan_ms']:>8.1f}")
 
     record = {
         "bench": "path_enum_ladder",

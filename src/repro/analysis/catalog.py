@@ -218,25 +218,16 @@ class UseBeforeDefRule(Rule):
     node_types = ()
 
     def finish(self, ctx: RuleContext) -> None:
-        defuse = ctx.defuse
-        seen: set[int] = set()
-        for event in defuse.events:
-            binding = event.binding
-            if id(binding) in seen:
-                continue
+        for events in ctx.defuse.events_by_binding.values():
+            binding = events[0].binding
             if binding.kind not in ("var", "let", "const"):
                 continue
-            events = defuse.events_for(binding)
-            if not events or events[0].kind != "use":
-                seen.add(id(binding))
-                continue
-            if any(e.kind == "def" for e in events):
+            if events[0].kind == "use" and any(e.kind == "def" for e in events):
                 ctx.report(
                     self,
                     events[0].node,
                     f"{binding.name!r} is read before it is ever assigned",
                 )
-            seen.add(id(binding))
 
 
 class WriteOnlyVariableRule(Rule):
@@ -246,19 +237,12 @@ class WriteOnlyVariableRule(Rule):
     node_types = ()
 
     def finish(self, ctx: RuleContext) -> None:
-        defuse = ctx.defuse
-        seen: set[int] = set()
-        for event in defuse.events:
-            binding = event.binding
-            if id(binding) in seen:
-                continue
-            seen.add(id(binding))
+        for events in ctx.defuse.events_by_binding.values():
+            binding = events[0].binding
             if binding.kind not in ("var", "let", "const"):
                 continue
-            events = defuse.events_for(binding)
             defs = [e for e in events if e.kind == "def"]
-            uses = [e for e in events if e.kind == "use"]
-            if defs and not uses:
+            if len(defs) == len(events):  # written, never read
                 ctx.report(
                     self,
                     defs[0].node,

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.jsparser import ast_nodes as ast
-from repro.jsparser.scope import Binding, ScopeAnalyzer
+from repro.jsparser.scope import ScopeAnalyzer
 from repro.jsparser.visitor import walk
 
 
@@ -72,7 +72,7 @@ def _bound_functions(program: ast.Program, scopes: ScopeAnalyzer) -> dict[int, l
         if node.type == "VariableDeclarator":
             init = node.init
             if init is not None and init.type in ast.FUNCTION_TYPES and node.id.type == "Identifier":
-                binding = _declarator_binding(node, scopes)
+                binding = scopes.declared_binding(node, node.id.name)
                 if binding is not None:
                     bind(id(binding), init)
         elif node.type == "AssignmentExpression" and node.operator == "=":
@@ -81,15 +81,6 @@ def _bound_functions(program: ast.Program, scopes: ScopeAnalyzer) -> dict[int, l
                 if binding is not None:
                     bind(id(binding), node.right)
     return bound
-
-
-def _declarator_binding(declarator: ast.Node, scopes: ScopeAnalyzer) -> Binding | None:
-    """The binding a ``VariableDeclarator`` declares, via the scope tree."""
-    for scope in scopes.global_scope.iter_scopes():
-        binding = scope.bindings.get(declarator.id.name)
-        if binding is not None and any(d is declarator for d in binding.declarations):
-            return binding
-    return None
 
 
 def build_call_graph(program: ast.Program, scopes: ScopeAnalyzer) -> CallGraph:

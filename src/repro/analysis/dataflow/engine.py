@@ -34,7 +34,7 @@ from repro.jsparser.scope import Binding, ScopeAnalyzer, analyze_scopes
 from repro.jsparser.visitor import walk
 
 from ..catalog import _GLOBAL_ALIASES, callee_name
-from .callgraph import CallGraph, _declarator_binding, build_call_graph
+from .callgraph import CallGraph, build_call_graph
 from .catalog import SinkSpec, TaintCatalog, default_catalog, is_string_array, literal_source
 from .lattice import EMPTY, Taint, TaintSet, extend, fresh, join
 from .witness import MAX_WITNESS_HOPS, Hop
@@ -171,7 +171,7 @@ class TaintEngine:
                 continue
             if node.id.type != "Identifier" or not is_string_array(node.init):
                 continue
-            binding = _declarator_binding(node, self.scopes)
+            binding = self.scopes.declared_binding(node, node.id.name)
             if binding is None:
                 continue
             line, col = node.loc
@@ -235,7 +235,7 @@ class TaintEngine:
                     continue
                 taints = self._eval(declarator.init, state)
                 if declarator.id.type == "Identifier":
-                    binding = _declarator_binding(declarator, self.scopes)
+                    binding = self.scopes.declared_binding(declarator, declarator.id.name)
                     line, col = declarator.loc
                     self._write_binding(
                         binding,
@@ -276,7 +276,7 @@ class TaintEngine:
             if target.type == "VariableDeclaration" and target.declarations:
                 declarator = target.declarations[0]
                 if declarator.id.type == "Identifier":
-                    binding = _declarator_binding(declarator, self.scopes)
+                    binding = self.scopes.declared_binding(declarator, declarator.id.name)
                     self._write_binding(binding, declarator.id.name, element, state)
             elif target.type == "Identifier":
                 self._write_binding(

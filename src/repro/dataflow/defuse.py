@@ -1,15 +1,18 @@
 """Definition–use analysis over the scope-resolved AST.
 
 For every variable binding, classifies each reference as a *definition*
-(write) or a *use* (read), in source order.  The enhanced AST
-(:mod:`repro.dataflow.enhanced_ast`) connects each use to the definitions
-that may reach it; the PDG (:mod:`repro.dataflow.pdg`) consumes the same
-classification at statement granularity.
+(write) or a *use* (read), in source order, and owns the one
+reaching-definition rule: :meth:`DefUseInfo.reaching_pairs` pairs each use
+with the definition that reaches it.  The enhanced AST
+(:mod:`repro.dataflow.enhanced_ast`) turns those pairs into its
+data-dependency edges; the PDG (:mod:`repro.dataflow.pdg`) lifts the same
+pairs to statement granularity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from repro.jsparser import ast_nodes as ast
 from repro.jsparser.scope import Binding, ScopeAnalyzer, analyze_scopes
@@ -34,15 +37,45 @@ class DefUseInfo:
     events: list[VarEvent] = field(default_factory=list)
     #: id(Identifier) -> VarEvent
     event_of_node: dict[int, VarEvent] = field(default_factory=dict)
+    #: id(Binding) -> that binding's events in source order; bindings in
+    #: the order of their first event.
+    events_by_binding: dict[int, list[VarEvent]] = field(default_factory=dict)
+
+    def add(self, event: VarEvent) -> None:
+        self.events.append(event)
+        self.events_by_binding.setdefault(id(event.binding), []).append(event)
 
     def events_for(self, binding: Binding) -> list[VarEvent]:
-        return [e for e in self.events if e.binding is binding]
+        return self.events_by_binding.get(id(binding), [])
 
     def defs_for(self, binding: Binding) -> list[VarEvent]:
-        return [e for e in self.events if e.binding is binding and e.kind == "def"]
+        return [e for e in self.events_for(binding) if e.kind == "def"]
 
     def uses_for(self, binding: Binding) -> list[VarEvent]:
-        return [e for e in self.events if e.binding is binding and e.kind == "use"]
+        return [e for e in self.events_for(binding) if e.kind == "use"]
+
+    def reaching_pairs(self) -> Iterator[tuple[VarEvent, VarEvent]]:
+        """``(definition, use)`` for every use a definition of its binding reaches.
+
+        The reaching definition approximation: the latest definition
+        before the use; if none precedes it (use before def, through
+        hoisting), the binding's first definition.  A compound ``x += 1``
+        is a use and then a definition of the same node, and is never
+        paired with itself.  Bindings come in the order of their first
+        event, uses in source order.
+        """
+        for events in self.events_by_binding.values():
+            first = next((e for e in events if e.kind == "def"), None)
+            if first is None:
+                continue
+            latest = None
+            for event in events:
+                if event.kind == "def":
+                    latest = event
+                    continue
+                source = first if latest is None else latest
+                if source.node is not event.node:
+                    yield source, event
 
 
 def _is_write(node: ast.Identifier, parent: ast.Node | None) -> bool:
@@ -80,11 +113,10 @@ def analyze_defuse(program: ast.Program, analyzer: ScopeAnalyzer | None = None) 
 
         # Declarations with init: `var x = e` defines x.
         if parent is not None and parent.type == "VariableDeclarator" and parent.id is node:
-            binding = analyzer.global_scope.resolve(node.name) or _resolve_in_any(analyzer, node.name)
-            binding = _binding_for_declarator(analyzer, node, parent) or binding
+            binding = analyzer.declared_binding(parent, node.name)
             if binding is not None and parent.init is not None:
                 event = VarEvent(binding, node, "def", order)
-                info.events.append(event)
+                info.add(event)
                 info.event_of_node[id(node)] = event
             continue
 
@@ -100,30 +132,13 @@ def analyze_defuse(program: ast.Program, analyzer: ScopeAnalyzer | None = None) 
         ) or (parent is not None and parent.type == "UpdateExpression")
 
         if compound:
-            info.events.append(VarEvent(binding, node, "use", order))
+            info.add(VarEvent(binding, node, "use", order))
             event = VarEvent(binding, node, "def", order)
         elif _is_write(node, parent):
             event = VarEvent(binding, node, "def", order)
         else:
             event = VarEvent(binding, node, "use", order)
-        info.events.append(event)
+        info.add(event)
         info.event_of_node[id(node)] = event
 
     return info
-
-
-def _binding_for_declarator(analyzer: ScopeAnalyzer, node: ast.Identifier, declarator) -> Binding | None:
-    """Find the binding a declarator's id belongs to (it isn't a reference)."""
-    for scope in analyzer.global_scope.iter_scopes():
-        binding = scope.bindings.get(node.name)
-        if binding is not None and declarator in binding.declarations:
-            return binding
-    # Fall back to name resolution from the global scope downward.
-    return _resolve_in_any(analyzer, node.name)
-
-
-def _resolve_in_any(analyzer: ScopeAnalyzer, name: str) -> Binding | None:
-    for scope in analyzer.global_scope.iter_scopes():
-        if name in scope.bindings:
-            return scope.bindings[name]
-    return None

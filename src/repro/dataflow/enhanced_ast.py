@@ -45,11 +45,8 @@ class EnhancedAST:
     dependency_edges: list[DependencyEdge] = field(default_factory=list)
     #: Leaves (by id) that participate in at least one dependency edge.
     connected_leaves: set[int] = field(default_factory=set)
-    #: id(node) -> parent node, for type inference of leaves.
+    #: id(node) -> parent node, for resolving declaration-name leaves.
     parent_of: dict[int, ast.Node | None] = field(default_factory=dict)
-    #: (id(declaration site), name) -> (pre-order rank of the scope, binding),
-    #: first scope wins; see :func:`_index_name_slots`.
-    name_slots: dict[tuple[int, str], tuple[int, Binding]] = field(default_factory=dict)
 
     # ------------------------------------------------------------- leaf value
 
@@ -68,12 +65,11 @@ class EnhancedAST:
         cannot rename those, so their real names are kept.
         """
         if node.type == "Identifier":
-            if id(node) in self.connected_leaves:
-                binding = self.analyzer.binding_of_ref.get(id(node)) or self._binding_for_name_slot(node)
-                if binding is None:
-                    return node.name
-                return f"@dd_{self._infer_binding_type(binding)}"
-            return self._abstract_identifier(node)
+            binding = self._binding(node)
+            if binding is None:
+                return node.name
+            marker = "@dd_" if id(node) in self.connected_leaves else "@var_"
+            return marker + self._infer_binding_type(binding)
         if node.type == "Literal":
             return _abstract_literal(node)
         if node.type == "TemplateLiteral":
@@ -82,30 +78,20 @@ class EnhancedAST:
             return "this"
         return f"@{node.type}"
 
-    def _abstract_identifier(self, node: ast.Identifier) -> str:
+    def _binding(self, node: ast.Identifier) -> Binding | None:
+        """The binding an identifier refers to or, in a name slot, declares.
+
+        Declarator ids, function names, parameters and catch parameters
+        are not references, so ``binding_of_ref`` misses them; the scope
+        analyzer's declaration-site index, asked with the parent, has the
+        binding they declare.
+        """
         binding = self.analyzer.binding_of_ref.get(id(node))
         if binding is None:
-            binding = self._binding_for_name_slot(node)
-        if binding is None:
-            # Unresolved == a host global like `document`; its name is part
-            # of the platform API surface, not a renameable variable, so it
-            # is kept — obfuscators cannot rename host objects safely.
-            return node.name
-        inferred = self._infer_binding_type(binding)
-        return f"@var_{inferred}"
-
-    def _binding_for_name_slot(self, node: ast.Identifier):
-        """Resolve an identifier sitting in a declaration-name position.
-
-        Declarator ids, function names, and parameters are not references,
-        so ``binding_of_ref`` misses them; find the binding they declare.
-        """
-        parent = self.parent_of.get(id(node))
-        if parent is None:
-            return None
-        hits = [self.name_slots.get((id(site), node.name)) for site in (parent, node)]
-        found = [hit for hit in hits if hit is not None]
-        return min(found, key=lambda hit: hit[0])[1] if found else None
+            parent = self.parent_of.get(id(node))
+            if parent is not None:
+                binding = self.analyzer.declared_binding(parent, node.name)
+        return binding
 
     def _infer_binding_type(self, binding) -> str:
         """Infer a coarse type for a binding from its initializer, if any."""
@@ -194,65 +180,24 @@ def _infer_expression_type(node: ast.Node) -> str:
     return "any"
 
 
-def _index_name_slots(analyzer: ScopeAnalyzer) -> dict[tuple[int, str], tuple[int, Binding]]:
-    """Every declaration site of every binding, keyed for name-slot lookups.
-
-    An identifier in a declaration-name position resolves to the binding
-    of its name that lists the identifier or its parent as a declaration,
-    in the first scope (pre-order) that has one.  Indexing the sites once
-    makes that lookup constant-time instead of a walk over every scope.
-    """
-    slots: dict[tuple[int, str], tuple[int, Binding]] = {}
-    for rank, scope in enumerate(analyzer.global_scope.iter_scopes()):
-        for name, binding in scope.bindings.items():
-            for declaration in binding.declarations:
-                slots.setdefault((id(declaration), name), (rank, binding))
-    return slots
-
-
 def build_enhanced_ast(program: ast.Program) -> EnhancedAST:
     """Attach data-dependency edges to a parsed program.
 
-    An edge runs from each definition of a variable to every *later* use of
-    the same binding (source order approximated by pre-order index).  This
-    is the "a program statement refers to the data of a preceding statement"
-    relation of the paper's Figure 2.
+    An edge runs to each use of a variable from the definition of the same
+    binding that reaches it (:meth:`DefUseInfo.reaching_pairs`; source
+    order approximated by pre-order index).  This is the "a program
+    statement refers to the data of a preceding statement" relation of the
+    paper's Figure 2.
     """
     analyzer = analyze_scopes(program)
     defuse = analyze_defuse(program, analyzer)
     enhanced = EnhancedAST(program, analyzer, defuse)
 
     enhanced.parent_of = {id(node): parent for node, parent in walk_with_parent(program)}
-    enhanced.name_slots = _index_name_slots(analyzer)
-
-    # Group events per binding, then connect defs to subsequent uses.
-    events_by_binding: dict[int, list] = {}
-    binding_objects: dict[int, object] = {}
-    for event in defuse.events:
-        events_by_binding.setdefault(id(event.binding), []).append(event)
-        binding_objects[id(event.binding)] = event.binding
-
-    for binding_id, events in events_by_binding.items():
-        binding = binding_objects[binding_id]
-        events.sort(key=lambda e: e.order)
-        definitions = [e for e in events if e.kind == "def"]
-        uses = [e for e in events if e.kind == "use"]
-        for use in uses:
-            # Reaching definition approximation: the latest def before the
-            # use; if none precedes it (use-before-def via hoisting), link
-            # the earliest def.
-            prior = [d for d in definitions if d.order < use.order]
-            if prior:
-                source = prior[-1]
-            elif definitions:
-                source = definitions[0]
-            else:
-                continue
-            if source.node is use.node:
-                continue
-            enhanced.dependency_edges.append(DependencyEdge(source.node, use.node, binding.name))
-            enhanced.connected_leaves.add(id(source.node))
-            enhanced.connected_leaves.add(id(use.node))
+    for definition, use in defuse.reaching_pairs():
+        enhanced.dependency_edges.append(DependencyEdge(definition.node, use.node, use.binding.name))
+        enhanced.connected_leaves.add(id(definition.node))
+        enhanced.connected_leaves.add(id(use.node))
 
     return enhanced
 
@@ -267,5 +212,4 @@ def build_regular_ast(program: ast.Program) -> EnhancedAST:
     defuse = analyze_defuse(program, analyzer)
     enhanced = EnhancedAST(program, analyzer, defuse)
     enhanced.parent_of = {id(node): parent for node, parent in walk_with_parent(program)}
-    enhanced.name_slots = _index_name_slots(analyzer)
     return enhanced

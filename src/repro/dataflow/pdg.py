@@ -6,7 +6,8 @@ The PDG layers two edge families over statement nodes:
   dependent on the nearest enclosing branch/loop/switch statement (this is
   the tree-shaped approximation JSTAP's implementation also relies on), and
 * **data dependence** — statement S2 depends on S1 when S1 defines a
-  variable that S2 uses and S1's definition can reach S2.
+  variable that S2 uses and S1's definition reaches S2, by the def-use
+  rule (:meth:`repro.dataflow.defuse.DefUseInfo.reaching_pairs`).
 
 The JSTAP baseline extracts n-grams by walking these edges.
 """
@@ -79,9 +80,8 @@ def build_pdg(program: ast.Program) -> PDG:
     """Build the statement-level PDG of a program."""
     pdg = PDG()
 
-    # Map every node to its nearest enclosing *statement*, for lifting
-    # identifier-level def/use events to statement granularity.
-    enclosing: dict[int, ast.Node | None] = {}
+    # The nearest enclosing *statement* of a node lifts identifier-level
+    # def/use pairs to statement granularity.
     parent_of = {id(n): p for n, p in walk_with_parent(program)}
 
     def nearest_statement(node: ast.Node) -> ast.Node | None:
@@ -93,7 +93,6 @@ def build_pdg(program: ast.Program) -> PDG:
     for node in walk(program):
         if _is_statement(node):
             pdg.add_node(node)
-            enclosing[id(node)] = node
 
     # ---------------------------------------------------- control dependence
     for node in walk(program):
@@ -107,23 +106,11 @@ def build_pdg(program: ast.Program) -> PDG:
             cursor = parent_of.get(id(cursor))
 
     # ------------------------------------------------------- data dependence
-    defuse = analyze_defuse(program)
-    events_by_binding: dict[int, list] = {}
-    for event in defuse.events:
-        events_by_binding.setdefault(id(event.binding), []).append(event)
-
-    for events in events_by_binding.values():
-        events.sort(key=lambda e: e.order)
-        definitions = [e for e in events if e.kind == "def"]
-        for use in (e for e in events if e.kind == "use"):
-            prior = [d for d in definitions if d.order < use.order]
-            source_event = prior[-1] if prior else (definitions[0] if definitions else None)
-            if source_event is None:
-                continue
-            src_stmt = nearest_statement(source_event.node)
-            dst_stmt = nearest_statement(use.node)
-            if src_stmt is None or dst_stmt is None or src_stmt is dst_stmt:
-                continue
-            pdg.add_edge(src_stmt, dst_stmt, kind="data")
+    for definition, use in analyze_defuse(program).reaching_pairs():
+        src_stmt = nearest_statement(definition.node)
+        dst_stmt = nearest_statement(use.node)
+        if src_stmt is None or dst_stmt is None or src_stmt is dst_stmt:
+            continue
+        pdg.add_edge(src_stmt, dst_stmt, kind="data")
 
     return pdg

@@ -1,11 +1,17 @@
 """Lexical scope analysis.
 
 Builds a scope tree (global scope + one scope per function, plus block
-scopes for ``let``/``const``) and resolves every ``Identifier`` reference to
-its declaration.  Consumers:
+scopes for ``let``/``const``), resolves every ``Identifier`` reference to
+its declaration, and indexes every declaration site, so the identifiers
+that name a binding rather than refer to one (declarator ids, function
+names, parameters, catch parameters) resolve in one lookup too.  This is
+the one place that decides which binding an identifier belongs to.
+Consumers:
 
 * :mod:`repro.dataflow` uses the binding resolution to connect definitions
   and uses of the same variable (the enhanced-AST data-dependency edges).
+* :mod:`repro.analysis.dataflow` resolves declarators through the index
+  for its call graph and taint engine.
 * :mod:`repro.obfuscation` uses it to rename variables consistently without
   capturing globals like ``document`` or ``eval``.
 """
@@ -112,11 +118,29 @@ class ScopeAnalyzer:
         self.binding_of_ref: dict[int, Binding] = {}
         #: Identifiers that resolved to nothing (globals like `document`).
         self.unresolved: list[ast.Identifier] = []
+        #: Maps (id(declaration site), name) -> Binding; see :meth:`declared_binding`.
+        self.binding_of_site: dict[tuple[int, str], Binding] = {}
 
     def analyze(self) -> Scope:
         self._declare_in_scope(self.program.body, self.global_scope)
+        for scope in self.global_scope.iter_scopes():
+            for name, binding in scope.bindings.items():
+                for site in binding.declarations:
+                    self.binding_of_site.setdefault((id(site), name), binding)
         self._resolve_references()
         return self.global_scope
+
+    def declared_binding(self, site: ast.Node, name: str) -> Binding | None:
+        """The binding ``site`` declares under ``name``.
+
+        Sites are what :meth:`Scope.declare` records: a
+        ``VariableDeclarator``, a function node (its name and its
+        parameters) or a ``CatchClause``.  When two scopes hold a binding
+        declared at the same site under the same name, the first scope in
+        pre-order wins: in ``function f(f){}`` the parameter resolves to
+        the outer binding ``f``.
+        """
+        return self.binding_of_site.get((id(site), name))
 
     # ----------------------------------------------------------- declaration
 

@@ -346,12 +346,10 @@ class BatchScanner:
                 script.triaged = script.analysis.decisive
 
         pending: list[_Script] = []
-        want_keys = self.cache is not None or self.isolated
         for script in scripts:
             if script.triaged:
                 continue
-            if want_keys:
-                script.key = content_key(script.source)
+            script.key = content_key(script.source)
             if self.cache is not None:
                 script.entry = self.cache.get(script.key)
                 if script.entry is not None:
@@ -365,16 +363,15 @@ class BatchScanner:
         # are embedded once; duplicates copy the primary's outcome after
         # the embed phase.
         duplicates: list[tuple[_Script, _Script]] = []
-        if pending and want_keys:
-            primaries: dict[str | None, _Script] = {}
-            for script in pending:
-                primary = primaries.setdefault(script.key, script)
-                if primary is not script:
-                    duplicates.append((script, primary))
-            if duplicates:
-                pending = list(primaries.values())
-                if self.metrics is not None:
-                    self._m_dedup_batch.inc(len(duplicates))
+        primaries: dict[str | None, _Script] = {}
+        for script in pending:
+            primary = primaries.setdefault(script.key, script)
+            if primary is not script:
+                duplicates.append((script, primary))
+        if duplicates:
+            pending = list(primaries.values())
+            if self.metrics is not None:
+                self._m_dedup_batch.inc(len(duplicates))
 
         # Known poison never gets a second chance to burn a worker: journal
         # hits go straight to the degraded-verdict path.

@@ -18,7 +18,9 @@ than coalesced into one :meth:`BatchScanner.scan` call.  The batcher:
 * drops items whose waiter already gave up (a timed-out request, a
   rejected batch request) instead of scanning them,
 * resolves each item's future with its :class:`ScanResult` plus the
-  enclosing :class:`ScanReport`,
+  enclosing :class:`ScanReport`; when a batch of several items raises, it
+  scans each item alone, so only a script whose own scan raises is
+  answered with the error,
 * drains cleanly: :meth:`drain` stops admission (:class:`Draining`) and
   waits until every admitted item has been answered.
 """
@@ -196,7 +198,9 @@ class MicroBatcher:
             for item in batch:
                 self._m_queue_wait.observe(now - item.enqueued_at)
         self.batch_sizes.append(len(batch))
+        await self._scan_and_answer(batch)
 
+    async def _scan_and_answer(self, batch: list[_Item]) -> None:
         loop = asyncio.get_running_loop()
         sources = [item.source for item in batch]
         names = [item.name for item in batch]
@@ -204,9 +208,16 @@ class MicroBatcher:
         try:
             report = await loop.run_in_executor(self._executor, self._scan, *args)
         except Exception as error:
-            for item in batch:
-                if not item.future.done():
-                    item.future.set_exception(error)
+            if len(batch) > 1:
+                # One script that breaks the scan must not fail its
+                # batch-mates: scan each alone, so only a script whose own
+                # scan raises gets the error.
+                for item in batch:
+                    if not item.future.done():
+                        await self._scan_and_answer([item])
+                return
+            if not batch[0].future.done():
+                batch[0].future.set_exception(error)
             return
         for item, result in zip(batch, report.results):
             if not item.future.done():  # timed-out waiters already gave up

@@ -27,10 +27,19 @@ class TestDefinitions:
     def test_compound_assignment_is_use_then_def(self):
         evs = events("var x = 1; x += 2;")
         assert evs == [("x", "def"), ("x", "use"), ("x", "def")]
+        evs = events("x += 1; var x = 2; f(x);")  # before any def
+        assert evs == [("x", "use"), ("x", "def"), ("x", "def"), ("x", "use")]
 
     def test_update_expression_is_use_then_def(self):
         evs = events("var i = 0; i++;")
         assert evs == [("i", "def"), ("i", "use"), ("i", "def")]
+
+    def test_redeclared_var_is_one_binding(self):
+        info = analyze_defuse(parse("var x = 1; f(x); var x = 2; g(x);"))
+        binding = info.analyzer.global_scope.bindings["x"]
+        assert len(binding.declarations) == 2
+        assert all(e.binding is binding for e in info.events)
+        assert [e.kind for e in info.events_for(binding)] == ["def", "use", "def", "use"]
 
 
 class TestUses:
@@ -57,6 +66,14 @@ class TestUses:
     def test_unresolved_global_not_tracked(self):
         assert events("console.log(1);") == []
 
+    def test_parameter_named_like_its_function(self):
+        info = analyze_defuse(parse("function f(f){ return f; }"))
+        assert [(e.binding.kind, e.kind) for e in info.events] == [("param", "use")]
+
+    def test_catch_parameter_read_is_a_use(self):
+        info = analyze_defuse(parse("try { risky(); } catch (e) { log(e); }"))
+        assert [(e.binding.name, e.binding.kind, e.kind) for e in info.events] == [("e", "catch", "use")]
+
 
 class TestAccessors:
     def test_defs_and_uses_for(self):
@@ -77,3 +94,23 @@ class TestAccessors:
         names = [(e.binding.name, e.kind) for e in ordered]
         assert names.index(("a", "def")) < names.index(("a", "use"))
         assert names.index(("b", "def")) < names.index(("b", "use"))
+
+
+class TestReachingPairs:
+    @staticmethod
+    def pairs(source):
+        info = analyze_defuse(parse(source))
+        return [(d.node.loc, u.node.loc) for d, u in info.reaching_pairs()]
+
+    def test_latest_def_before_the_use(self):
+        assert self.pairs("var x = 1; x = 2; f(x);") == [((1, 11), (1, 20))]
+
+    def test_use_before_any_def_takes_the_first_def(self):
+        assert self.pairs("f(x); var x = 1; x = 2;") == [((1, 10), (1, 2))]
+
+    def test_compound_assignment_never_pairs_with_itself(self):
+        assert self.pairs("x += 1; var x = 2; f(x);") == [((1, 12), (1, 21))]
+
+    def test_bindings_in_order_of_first_event_uses_in_source_order(self):
+        pairs = self.pairs("var b = 1; var a = 2; f(a); g(b); h(a);")
+        assert pairs == [((1, 4), (1, 30)), ((1, 15), (1, 24)), ((1, 15), (1, 36))]

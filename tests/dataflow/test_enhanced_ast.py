@@ -49,6 +49,17 @@ class TestDependencyEdges:
         assert "timeZoneMinutes" in names
         assert "parts" in names
 
+    def test_redeclared_var_links_each_declaration_to_its_uses(self):
+        e = enhanced("var x = 1; f(x); var x = 2; g(x);")
+        edges = [(d.source.loc, d.target.loc) for d in e.dependency_edges]
+        assert edges == [((1, 4), (1, 13)), ((1, 21), (1, 30))]
+
+    def test_compound_assignment_before_any_def(self):
+        e = enhanced("x += 1; var x = 2; f(x);")
+        assert [(d.source.loc, d.target.loc) for d in e.dependency_edges] == [((1, 12), (1, 21))]
+        values = [e.leaf_value(i) for i in find_all(e.program, "Identifier") if i.name == "x"]
+        assert values == ["@var_int", "@dd_int", "@dd_int"]
+
     def test_regular_ast_has_no_edges(self):
         program = parse("var x = 1; f(x);")
         regular = build_regular_ast(program)
@@ -90,6 +101,22 @@ class TestLeafValues:
         identifiers = find_all(e.program, "Identifier")
         doc = next(i for i in identifiers if i.name == "document")
         assert e.leaf_value(doc) == "document"
+
+    def test_parameter_named_like_its_function(self):
+        # The parameter slot resolves to the first binding of ``f`` in
+        # scope pre-order, the function's own name; the read resolves to
+        # the parameter.
+        e = enhanced("function f(f){ return f; }")
+        values = [e.leaf_value(i) for i in find_all(e.program, "Identifier")]
+        assert values == ["@var_func", "@var_func", "@var_any"]
+        assert e.edge_count == 0
+
+    def test_catch_parameter_resolves_to_the_catch_binding(self):
+        e = enhanced("try { risky(); } catch (e) { log(e); }")
+        handler = e.program.body[0].handler
+        assert e.analyzer.declared_binding(handler, "e").kind == "catch"
+        values = [e.leaf_value(i) for i in find_all(e.program, "Identifier") if i.name == "e"]
+        assert values == ["@var_any", "@var_any"]
 
     def test_literal_abstractions(self):
         e = enhanced("var a = 'str'; var b = 3; var c = 2.5; var d = true; var f = null;")

@@ -14,9 +14,12 @@ replaced, each the reference for one production function:
   no per-path loop and reads a ``PathTable``'s columns instead (hand-made
   contexts are laid out as a table first).
 * :func:`binding_for_name_slot` scans every scope of the program for the
-  binding a declaration-name identifier declares; the oracle's leaf
-  values resolve name slots this way (:func:`scope_scan`).  It is the
-  reference for the declaration-site index of ``EnhancedAST.leaf_value``.
+  binding a declaration site declares under a name; the oracle's leaf
+  values resolve name slots this way (:func:`scope_scan` swaps it in for
+  ``ScopeAnalyzer.declared_binding``, the scope analyzer's
+  declaration-site index that ``EnhancedAST.leaf_value``, def-use, the
+  call graph and the taint engine ask).  It is the reference for that
+  index.
 
 They are slow (quadratic in the number of leaves, or in the number of
 scopes) and exist only so tests and the ladder bench can demand exact
@@ -37,6 +40,7 @@ from repro.dataflow import EnhancedAST
 from repro.datasets import generate_benign, generate_malicious
 from repro.jsparser import LEAF_TYPES
 from repro.jsparser import ast_nodes as ast
+from repro.jsparser.scope import ScopeAnalyzer
 from repro.paths import PathContext
 from repro.paths.featurizer import FEATURE_DIM, NODE_TYPES, VALUE_BUCKETS
 
@@ -169,18 +173,15 @@ def featurize_per_path(contexts: list[PathContext]) -> np.ndarray:
 # ------------------------------------------------------------------- dataflow
 
 
-def binding_for_name_slot(enhanced: EnhancedAST, node: ast.Identifier):
-    """The binding a declaration-name identifier declares, scanning all scopes.
+def binding_for_name_slot(analyzer: ScopeAnalyzer, site: ast.Node, name: str):
+    """The binding ``site`` declares under ``name``, scanning all scopes.
 
     The first scope, in pre-order, whose binding of the name lists the
-    identifier or its parent among its declarations wins.
+    site among its declarations wins.
     """
-    parent = enhanced.parent_of.get(id(node))
-    if parent is None:
-        return None
-    for scope in enhanced.analyzer.global_scope.iter_scopes():
-        binding = scope.bindings.get(node.name)
-        if binding is not None and any(d in (parent, node) for d in binding.declarations):
+    for scope in analyzer.global_scope.iter_scopes():
+        binding = scope.bindings.get(name)
+        if binding is not None and any(d is site for d in binding.declarations):
             return binding
     return None
 
@@ -188,11 +189,12 @@ def binding_for_name_slot(enhanced: EnhancedAST, node: ast.Identifier):
 @contextlib.contextmanager
 def scope_scan(enhanced: EnhancedAST):
     """Within the block, ``enhanced`` resolves name slots by :func:`binding_for_name_slot`."""
-    enhanced._binding_for_name_slot = functools.partial(binding_for_name_slot, enhanced)
+    analyzer = enhanced.analyzer
+    analyzer.declared_binding = functools.partial(binding_for_name_slot, analyzer)
     try:
         yield enhanced
     finally:
-        del enhanced._binding_for_name_slot
+        del analyzer.declared_binding
 
 
 def leaf_value(enhanced: EnhancedAST, node: ast.Node) -> str:

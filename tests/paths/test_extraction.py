@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dataflow import build_enhanced_ast, build_regular_ast
-from repro.jsparser import parse
+from repro.jsparser import FUNCTION_TYPES, parse, walk
 from repro.paths import PathExtractor, PathFeaturizer, extract_paths
 
 from . import oracle
@@ -169,6 +169,24 @@ class TestAgainstOracle:
         assert list(paths) == expected
         features = PathFeaturizer().transform(paths)
         assert features.tobytes() == oracle.featurize_per_path(expected).tobytes()
+
+    @pytest.mark.parametrize("name", CORPUS + OBFUSCATED + [EIGHT_K])
+    def test_declaration_index_matches_scope_scan(self, name):
+        analyzer = enhanced_ast(name, True).analyzer
+        for site in walk(analyzer.program):
+            if site.type == "VariableDeclarator":
+                names = [site.id.name]
+            elif site.type == "CatchClause":
+                names = [site.param.name] if site.param is not None else []
+            elif site.type in FUNCTION_TYPES:
+                names = [p.name for p in site.params if p.type == "Identifier"]
+                names += [site.id.name] if getattr(site, "id", None) is not None else []
+            else:
+                continue
+            for slot in names:
+                expected = oracle.binding_for_name_slot(analyzer, site, slot)
+                assert expected is not None
+                assert analyzer.declared_binding(site, slot) is expected
 
     @pytest.mark.parametrize("name", CORPUS + [EIGHT_K])
     def test_leaf_values_match_scope_scan(self, name):

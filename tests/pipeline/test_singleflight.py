@@ -1,8 +1,8 @@
-"""Dedup on the cache: in-batch duplicates, and a disk layer shared by processes.
+"""Dedup: in-batch duplicates, and a disk layer shared by processes.
 
-Identical scripts in one batch are embedded once (``scope="batch"``).
-Processes sharing one ``cache_dir`` take no locks: each computes what it
-misses and publishes the row for the others.
+Identical scripts in one batch are embedded once (``scope="batch"``),
+with or without a cache.  Processes sharing one ``cache_dir`` take no
+locks: each computes what it misses and publishes the row for the others.
 """
 
 import time
@@ -30,9 +30,10 @@ def detector(split):
 
 
 class TestScannerDedup:
-    def test_in_batch_duplicates_computed_once(self, detector, split):
+    @pytest.mark.parametrize("cached", [True, False], ids=["cache", "no-cache"])
+    def test_in_batch_duplicates_computed_once(self, detector, split, cached):
         metrics = MetricsRegistry()
-        cache = FeatureCache(detector.fingerprint(), metrics=metrics)
+        cache = FeatureCache(detector.fingerprint(), metrics=metrics) if cached else None
         scanner = BatchScanner(detector, cache=cache, metrics=metrics)
         source = split.test.sources[0]
         report = scanner.scan([source, source, source, split.test.sources[1]])
@@ -43,6 +44,22 @@ class TestScannerDedup:
         assert first.label == second.label == third.label
         assert first.probability == second.probability == third.probability
         assert first.path_count == third.path_count
+
+    def test_uncached_scan_embeds_each_distinct_script_once(self, detector, split, monkeypatch):
+        distinct = split.test.sources[:4]
+        batch = distinct + [distinct[1]]
+        expected = [(r.label, r.probability) for r in BatchScanner(detector).scan(distinct).results]
+        calls = []
+        embed_script = JSRevealer.embed_script
+
+        def counting(self, contexts, return_indices=False):
+            calls.append(len(contexts))
+            return embed_script(self, contexts, return_indices)
+
+        monkeypatch.setattr(JSRevealer, "embed_script", counting)
+        report = BatchScanner(detector).scan(batch)
+        assert len(calls) == len(distinct)
+        assert [(r.label, r.probability) for r in report.results] == expected + [expected[1]]
 
     def test_dedup_results_match_unique_scan(self, detector, split):
         source = split.test.sources[2]

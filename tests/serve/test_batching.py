@@ -309,6 +309,35 @@ class TestFailures:
 
         run(go())
 
+    def test_one_failing_script_fails_only_itself(self):
+        seen: list[list[str]] = []
+
+        def scan(sources, names):
+            seen.append(list(names))
+            if "poison" in sources:
+                raise RuntimeError("poison")
+            return fake_scan(sources, names)
+
+        async def go():
+            with ThreadPoolExecutor(max_workers=1) as executor:
+                batcher = MicroBatcher(scan, executor=executor, max_batch=4, queue_limit=8)
+                batcher.start()
+                sources = ["a", "poison", "bb", "ccc"]
+                futures = [batcher.submit(source, f"s{i}") for i, source in enumerate(sources)]
+                outcomes = await asyncio.gather(*futures, return_exceptions=True)
+                await batcher.drain()
+                return outcomes, batcher.batch_sizes
+
+        outcomes, batch_sizes = run(go())
+        # One micro-batch of four; it raised, so each script was scanned alone.
+        assert batch_sizes == [4]
+        assert seen == [["s0", "s1", "s2", "s3"], ["s0"], ["s1"], ["s2"], ["s3"]]
+        assert isinstance(outcomes[1], RuntimeError)
+        answered = [outcome for i, outcome in enumerate(outcomes) if i != 1]
+        assert [(result.path, result.label, len(report.results)) for result, report in answered] == [
+            ("s0", 1, 1), ("s2", 0, 1), ("s3", 1, 1)
+        ]
+
     def test_constructor_validation(self):
         with ThreadPoolExecutor(max_workers=1) as executor:
             with pytest.raises(ValueError):
