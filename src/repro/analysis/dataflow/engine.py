@@ -112,11 +112,14 @@ class TaintEngine:
         self.transfers = 0
         self.budget_exhausted = False
 
-        self._readers: dict[FactKey, set[int]] = {}
+        #: Insertion-ordered throughout, so which reader is re-queued first,
+        #: and therefore which witness a flow keeps, never depends on the
+        #: string hash seed or on object addresses.
+        self._readers: dict[FactKey, dict[int, None]] = {}
         self._fn_by_id: dict[int, ast.Node] = {id(program): program}
         for fn in self.callgraph.functions:
             self._fn_by_id[id(fn)] = fn
-        self._changed_keys: set[FactKey] = set()
+        self._changed_keys: dict[FactKey, None] = {}
         self._current_fn: ast.Node = program
 
     # ------------------------------------------------------------------ run
@@ -135,7 +138,7 @@ class TaintEngine:
             if visits.get(id(fn), 0) >= bound:
                 continue  # bounded context depth
             visits[id(fn)] = visits.get(id(fn), 0) + 1
-            self._changed_keys = set()
+            self._changed_keys = {}
             self._analyze_unit(fn)
             if self.budget_exhausted:
                 break
@@ -296,10 +299,10 @@ class TaintEngine:
         new = join(old, taints)
         if new != old:
             self.env[key] = new
-            self._changed_keys.add(key)
+            self._changed_keys[key] = None
 
     def _note_read(self, key: FactKey) -> None:
-        self._readers.setdefault(key, set()).add(id(self._current_fn))
+        self._readers.setdefault(key, {})[id(self._current_fn)] = None
 
     def _binding_owner(self, binding: Binding) -> ast.Node:
         return binding.scope.hoist_target().node
@@ -342,7 +345,11 @@ class TaintEngine:
             witness = Taint(taint.label, hops + (sink_hop,))
             flow_key = (id(node), spec.kind, taint.label)
             existing = self.flows.get(flow_key)
-            if existing is None or len(witness.hops) < len(existing.taint.hops):
+            # The join's preference (shortest, then lexically smallest), so
+            # a tie does not go to whichever taint the set yields first.
+            if existing is None or (len(witness.hops), witness) < (
+                len(existing.taint.hops), existing.taint
+            ):
                 self.flows[flow_key] = Flow(spec.kind, sink_name, line, col, witness)
 
     def _dispatch_root(self, node: ast.Node) -> str | None:

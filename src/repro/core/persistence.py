@@ -14,7 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.ml import RandomForestClassifier
+from repro.ml import DecisionTreeClassifier, RandomForestClassifier
+from repro.ml.tree import append_node
 
 from .config import JSRevealerConfig
 from .detector import JSRevealer
@@ -121,48 +122,59 @@ def load_detector(directory: str | Path) -> JSRevealer:
 
 
 # ------------------------------------------------------- forest (de)serialize
+#
+# ``model.json`` keeps each tree as a nested dict: a split is
+# ``{"feature", "threshold", "left", "right", "classes"}`` and a leaf
+# ``{"leaf": probabilities, "classes"}``, with the tree's own classes on
+# every node.  A fitted tree is pre-order arrays (:mod:`repro.ml.tree`);
+# both directions walk the nodes in pre-order, so loading rebuilds the
+# arrays the fit produced and saving writes the bytes earlier versions wrote.
 
 
 def _forest_to_dict(forest: RandomForestClassifier) -> dict:
     return {
         "classes": [int(c) for c in forest.classes_],
         "feature_importances": [float(v) for v in (forest.feature_importances_ if forest.feature_importances_ is not None else [])],
-        "trees": [_tree_to_dict(tree._root, tree.classes_) for tree in forest.estimators_],
+        "trees": [_tree_to_dict(tree, 0) for tree in forest.estimators_],
     }
 
 
-def _tree_to_dict(node, classes) -> dict:
-    if node.is_leaf:
-        return {"leaf": [float(p) for p in node.proba], "classes": [int(c) for c in classes]}
+def _tree_to_dict(tree: DecisionTreeClassifier, node: int) -> dict:
+    classes = [int(c) for c in tree.classes_]
+    if tree.left_[node] == node:
+        return {"leaf": [float(p) for p in tree.value_[node]], "classes": classes}
     return {
-        "feature": int(node.feature),
-        "threshold": float(node.threshold),
-        "left": _tree_to_dict(node.left, classes),
-        "right": _tree_to_dict(node.right, classes),
-        "classes": [int(c) for c in classes],
+        "feature": int(tree.feature_[node]),
+        "threshold": float(tree.threshold_[node]),
+        "left": _tree_to_dict(tree, int(tree.left_[node])),
+        "right": _tree_to_dict(tree, int(tree.right_[node])),
+        "classes": classes,
     }
 
 
 def _forest_from_dict(data: dict) -> RandomForestClassifier:
-    from repro.ml.tree import DecisionTreeClassifier, _Node
+    return RandomForestClassifier.from_estimators(
+        [_tree_from_dict(tree_data) for tree_data in data["trees"]],
+        classes=np.array(data["classes"]),
+        feature_importances=np.array(data["feature_importances"]),
+    )
 
-    forest = RandomForestClassifier(n_estimators=max(len(data["trees"]), 1))
-    forest.classes_ = np.array(data["classes"])
-    forest.feature_importances_ = np.array(data["feature_importances"])
 
-    def rebuild(node_data) -> _Node:
+def _tree_from_dict(data: dict) -> DecisionTreeClassifier:
+    tree = DecisionTreeClassifier()
+    tree.classes_ = np.array(data["classes"])
+    nodes: list[list] = []
+
+    def rebuild(node_data: dict) -> int:
         if "leaf" in node_data:
-            return _Node(proba=np.array(node_data["leaf"]))
-        node = _Node(feature=node_data["feature"], threshold=node_data["threshold"])
-        node.left = rebuild(node_data["left"])
-        node.right = rebuild(node_data["right"])
+            return append_node(nodes, np.array(node_data["leaf"]))
+        node = append_node(
+            nodes, np.zeros(len(tree.classes_)), node_data["feature"], node_data["threshold"]
+        )
+        nodes[node][2] = rebuild(node_data["left"])
+        nodes[node][3] = rebuild(node_data["right"])
         return node
 
-    estimators = []
-    for tree_data in data["trees"]:
-        tree = DecisionTreeClassifier()
-        tree.classes_ = np.array(tree_data["classes"])
-        tree._root = rebuild(tree_data)
-        estimators.append(tree)
-    forest.estimators_ = estimators
-    return forest
+    rebuild(data)
+    tree.set_nodes(nodes)
+    return tree

@@ -206,10 +206,10 @@ def build_regular_ast(program: ast.Program) -> EnhancedAST:
     """The ablation representation: same wrapper, *no* dependency edges.
 
     Used by the Table IV "regular AST" rows — every identifier leaf is
-    abstracted, so paths carry no data-flow information.
+    abstracted, so paths carry no data-flow information.  Nothing reads a
+    regular AST's def-use, so it gets an empty one.
     """
     analyzer = analyze_scopes(program)
-    defuse = analyze_defuse(program, analyzer)
-    enhanced = EnhancedAST(program, analyzer, defuse)
+    enhanced = EnhancedAST(program, analyzer, DefUseInfo(analyzer))
     enhanced.parent_of = {id(node): parent for node, parent in walk_with_parent(program)}
     return enhanced

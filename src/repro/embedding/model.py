@@ -72,13 +72,7 @@ class AttentionEmbeddingModel:
             is (n, d), ``weights`` is the attention distribution (n,),
             ``script_vector`` is (d,), and ``probs`` is (n_classes,).
         """
-        if paths.ndim != 2 or paths.shape[1] != self.input_dim:
-            raise ValueError(f"expected (n, {self.input_dim}) paths, got {paths.shape}")
-        if len(paths) == 0:
-            raise ValueError("a script must contribute at least one path")
-        embedded = np.tanh(paths @ self.W.T)  # (n, d)
-        scores = embedded @ self.a  # (n,)
-        weights = _softmax(scores)
+        embedded, weights = self.embed_paths(paths)
         script_vector = weights @ embedded  # (d,)
         probs = _softmax(self.U @ script_vector + self.b)
         return embedded, weights, script_vector, probs
@@ -113,13 +107,19 @@ class AttentionEmbeddingModel:
     # -------------------------------------------------------------- use-time
 
     def embed_paths(self, paths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Path vectors + attention weights for an unseen script.
+        """Eqs. 1–2 only: path vectors + attention weights for one script.
 
         These are the fully-connected-layer outputs and attention weights
-        the paper's feature-extraction stage consumes.
+        the paper's feature-extraction stage consumes; :meth:`forward`
+        goes on from them to the script vector and class probabilities.
         """
-        embedded, weights, _, _ = self.forward(paths)
-        return embedded, weights
+        if paths.ndim != 2 or paths.shape[1] != self.input_dim:
+            raise ValueError(f"expected (n, {self.input_dim}) paths, got {paths.shape}")
+        if len(paths) == 0:
+            raise ValueError("a script must contribute at least one path")
+        embedded = np.tanh(paths @ self.W.T)  # (n, d)
+        scores = embedded @ self.a  # (n,)
+        return embedded, _softmax(scores)
 
     def predict_proba(self, paths: np.ndarray) -> np.ndarray:
         return self.forward(paths)[3]

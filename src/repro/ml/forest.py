@@ -3,13 +3,22 @@
 JSRevealer, JAST, and JSTAP all use a random forest as their final
 classifier; the Gini ``feature_importances_`` this class exposes drive the
 paper's RQ3 interpretability analysis (Table VII).
+
+A fitted forest stacks its trees' pre-order node arrays into one set, once
+(at the end of :meth:`RandomForestClassifier.fit`, or in
+:meth:`RandomForestClassifier.from_estimators` for a loaded model), with
+each leaf's probability row laid out over the forest's ``classes_`` (0.0
+for a class the tree's bootstrap sample missed).  :meth:`predict_proba`
+is then one :func:`~repro.ml.tree.descend` of every row through every
+tree, and the leaf rows are added in tree order: the same float additions
+as summing the trees one by one.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tree import DecisionTreeClassifier
+from .tree import DecisionTreeClassifier, descend
 
 
 class RandomForestClassifier:
@@ -41,7 +50,18 @@ class RandomForestClassifier:
         self.estimators_: list[DecisionTreeClassifier] = []
         self.classes_: np.ndarray | None = None
         self.feature_importances_: np.ndarray | None = None
-        self._columns: list[np.ndarray | None] | None = None
+
+    @classmethod
+    def from_estimators(
+        cls, estimators: list[DecisionTreeClassifier], classes, feature_importances
+    ) -> "RandomForestClassifier":
+        """A fitted forest of ``estimators`` over ``classes`` (sorted)."""
+        forest = cls(n_estimators=len(estimators))
+        forest.estimators_ = list(estimators)
+        forest.classes_ = np.asarray(classes)
+        forest.feature_importances_ = np.asarray(feature_importances)
+        forest._stack()
+        return forest
 
     def fit(self, X, y) -> "RandomForestClassifier":
         X = np.asarray(X, dtype=float)
@@ -51,7 +71,6 @@ class RandomForestClassifier:
         rng = np.random.default_rng(self.random_state)
         self.classes_ = np.unique(y)
         self.estimators_ = []
-        self._columns = None
         n = len(y)
 
         importance_sum = np.zeros(X.shape[1])
@@ -65,46 +84,38 @@ class RandomForestClassifier:
             )
             tree.fit(X[indices], y[indices])
             self.estimators_.append(tree)
-            importance_sum += self._aligned_importances(tree, X.shape[1])
+            importance_sum += tree.feature_importances_
 
         total = importance_sum.sum()
         self.feature_importances_ = importance_sum / total if total > 0 else importance_sum
+        self._stack()
         return self
 
-    def _aligned_importances(self, tree: DecisionTreeClassifier, n_features: int) -> np.ndarray:
-        importances = tree.feature_importances_
-        if importances is None:
-            return np.zeros(n_features)
-        return importances
-
-    def _tree_columns(self) -> list[np.ndarray | None]:
-        """Per tree, the forest columns its ``predict_proba`` fills.
-
-        Trees trained on bootstrap samples may have seen a subset of the
-        classes; ``None`` marks a tree that saw them all.  Computed once per
-        fitted forest (and on first use of a deserialized one).
-        """
-        if self._columns is None:
-            self._columns = [
-                None if np.array_equal(tree.classes_, self.classes_)
-                else np.searchsorted(self.classes_, tree.classes_)
-                for tree in self.estimators_
-            ]
-        return self._columns
+    def _stack(self) -> None:
+        trees = self.estimators_
+        sizes = [tree.node_count() for tree in trees]
+        self._roots = np.cumsum([0, *sizes[:-1]]).astype(np.intp)
+        self._feature = np.concatenate([tree.feature_ for tree in trees])
+        self._threshold = np.concatenate([tree.threshold_ for tree in trees])
+        self._left = np.concatenate([tree.left_ + root for tree, root in zip(trees, self._roots)])
+        self._right = np.concatenate([tree.right_ + root for tree, root in zip(trees, self._roots)])
+        self._value = np.zeros((sum(sizes), len(self.classes_)))
+        for tree, root, size in zip(trees, self._roots, sizes):
+            columns = np.searchsorted(self.classes_, tree.classes_)
+            self._value[root : root + size, columns] = tree.value_
+        self._depth = max(tree.depth() for tree in trees)
 
     def predict_proba(self, X) -> np.ndarray:
         if not self.estimators_ or self.classes_ is None:
             raise RuntimeError("Classifier used before fit()")
         X = np.asarray(X, dtype=float)
-        acc = np.zeros((len(X), len(self.classes_)))
-        # Trees are summed in order, so the result is the same float sum
-        # whatever the columns: adding a tree's absent class is adding 0.0.
-        for tree, columns in zip(self.estimators_, self._tree_columns()):
-            if columns is None:
-                acc += tree.predict_proba(X)
-            else:
-                acc[:, columns] += tree.predict_proba(X)
-        return acc / len(self.estimators_)
+        leaves = descend(
+            X, self._feature, self._threshold, self._left, self._right, self._roots, self._depth
+        )
+        # (trees, rows, classes); the running sum over axis 0 adds the trees
+        # strictly in order, as a loop would (a plain sum may pair them up).
+        total = np.cumsum(self._value[leaves.T], axis=0)[-1]
+        return total / len(self.estimators_)
 
     def predict(self, X) -> np.ndarray:
         proba = self.predict_proba(X)

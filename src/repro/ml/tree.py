@@ -5,27 +5,43 @@ thresholds per feature using cumulative class counts, so training is
 O(n_features × n log n) per node rather than Python-loop-per-sample.
 Supports ``max_features`` subsampling and bootstrap-weighted fitting so
 :class:`repro.ml.forest.RandomForestClassifier` can reuse it directly.
+
+A fitted tree is five pre-order arrays, one entry per node: ``feature_``,
+``threshold_``, ``left_``, ``right_`` and ``value_`` (the class-probability
+row; zeros at a split).  A row goes left when
+``x[feature_] <= threshold_``.  A leaf is its own left and right child,
+so a descent that goes on past it stays put: :func:`descend` walks every
+row through every tree one level per step with numpy gathers, which is
+how the tree and the forest predict.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+#: A node while the tree grows: ``[feature, threshold, left, right, value]``.
+NodeList = list[list]
 
-@dataclass
-class _Node:
-    feature: int = -1
-    threshold: float = 0.0
-    left: "_Node | None" = None
-    right: "_Node | None" = None
-    # Leaf payload: class-probability vector.
-    proba: np.ndarray | None = None
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.proba is not None
+def append_node(nodes: NodeList, value: np.ndarray, feature: int = -1, threshold: float = 0.0) -> int:
+    """Append a node to ``nodes`` as its own children (a leaf until the
+    caller links its subtrees); return its index."""
+    index = len(nodes)
+    nodes.append([feature, threshold, index, index, value])
+    return index
+
+
+def descend(X: np.ndarray, feature, threshold, left, right, roots: np.ndarray, depth: int) -> np.ndarray:
+    """The leaf each row of ``X`` reaches from each root: (rows, roots) node indices.
+
+    ``depth`` levels, each one gather of the rows' split values, one
+    comparison and one ``np.where``.  NaN compares false, so it goes right.
+    """
+    node = np.zeros((len(X), 1), dtype=np.intp) + roots
+    rows = np.arange(len(X))[:, None]
+    for _ in range(depth):
+        node = np.where(X[rows, feature[node]] <= threshold[node], left[node], right[node])
+    return node
 
 
 class DecisionTreeClassifier:
@@ -56,7 +72,12 @@ class DecisionTreeClassifier:
         self.classes_: np.ndarray | None = None
         self.n_features_: int = 0
         self.feature_importances_: np.ndarray | None = None
-        self._root: _Node | None = None
+        self.feature_: np.ndarray | None = None
+        self.threshold_: np.ndarray | None = None
+        self.left_: np.ndarray | None = None
+        self.right_: np.ndarray | None = None
+        self.value_: np.ndarray | None = None
+        self._depth = 0
 
     # ------------------------------------------------------------------ fit
 
@@ -77,12 +98,30 @@ class DecisionTreeClassifier:
             else np.asarray(sample_weight, dtype=float)
         )
         self._importance_acc = np.zeros(self.n_features_)
-        self._root = self._grow(X, y_encoded, weights, depth=0)
+        nodes: NodeList = []
+        self._grow(nodes, X, y_encoded, weights, depth=0)
+        self.set_nodes(nodes)
         total = self._importance_acc.sum()
         self.feature_importances_ = (
             self._importance_acc / total if total > 0 else np.zeros(self.n_features_)
         )
         return self
+
+    def set_nodes(self, nodes: NodeList) -> None:
+        """Take ``nodes`` (pre-order, as :func:`append_node` builds them) as
+        the fitted tree."""
+        feature, threshold, left, right, value = zip(*nodes)
+        self.feature_ = np.array(feature, dtype=np.intp)
+        self.threshold_ = np.array(threshold, dtype=float)
+        self.left_ = np.array(left, dtype=np.intp)
+        self.right_ = np.array(right, dtype=np.intp)
+        self.value_ = np.array(value, dtype=float)
+        # Pre-order: a parent's level is known before its children's.
+        levels = [0] * len(nodes)
+        for node, (_, _, lo, hi, _) in enumerate(nodes):
+            if lo != node:
+                levels[lo] = levels[hi] = levels[node] + 1
+        self._depth = max(levels)
 
     def _n_candidate_features(self) -> int:
         if self.max_features is None:
@@ -91,35 +130,36 @@ class DecisionTreeClassifier:
             return max(1, int(np.sqrt(self.n_features_)))
         return min(int(self.max_features), self.n_features_)
 
-    def _leaf(self, y: np.ndarray, weights: np.ndarray) -> _Node:
+    def _leaf(self, nodes: NodeList, y: np.ndarray, weights: np.ndarray) -> int:
         proba = np.zeros(len(self.classes_))
         np.add.at(proba, y, weights)
         total = proba.sum()
         proba = proba / total if total > 0 else np.full(len(self.classes_), 1 / len(self.classes_))
-        return _Node(proba=proba)
+        return append_node(nodes, proba)
 
-    def _grow(self, X: np.ndarray, y: np.ndarray, weights: np.ndarray, depth: int) -> _Node:
+    def _grow(self, nodes: NodeList, X: np.ndarray, y: np.ndarray, weights: np.ndarray, depth: int) -> int:
+        """Append the subtree over these samples to ``nodes``; return its root."""
         n = len(y)
         if (
             n < self.min_samples_split
             or (self.max_depth is not None and depth >= self.max_depth)
             or len(np.unique(y)) == 1
         ):
-            return self._leaf(y, weights)
+            return self._leaf(nodes, y, weights)
 
         feature, threshold, gain = self._best_split(X, y, weights)
         if feature < 0:
-            return self._leaf(y, weights)
+            return self._leaf(nodes, y, weights)
 
         mask = X[:, feature] <= threshold
         left_count, right_count = int(mask.sum()), int((~mask).sum())
         if left_count < self.min_samples_leaf or right_count < self.min_samples_leaf:
-            return self._leaf(y, weights)
+            return self._leaf(nodes, y, weights)
 
         self._importance_acc[feature] += gain * weights.sum()
-        node = _Node(feature=feature, threshold=threshold)
-        node.left = self._grow(X[mask], y[mask], weights[mask], depth + 1)
-        node.right = self._grow(X[~mask], y[~mask], weights[~mask], depth + 1)
+        node = append_node(nodes, np.zeros(len(self.classes_)), feature, threshold)
+        nodes[node][2] = self._grow(nodes, X[mask], y[mask], weights[mask], depth + 1)
+        nodes[node][3] = self._grow(nodes, X[~mask], y[~mask], weights[~mask], depth + 1)
         return node
 
     def _best_split(self, X: np.ndarray, y: np.ndarray, weights: np.ndarray) -> tuple[int, float, float]:
@@ -176,16 +216,14 @@ class DecisionTreeClassifier:
     # -------------------------------------------------------------- predict
 
     def predict_proba(self, X) -> np.ndarray:
-        if self._root is None:
+        if self.feature_ is None:
             raise RuntimeError("Classifier used before fit()")
         X = np.asarray(X, dtype=float)
-        out = np.empty((len(X), len(self.classes_)))
-        for i, row in enumerate(X):
-            node = self._root
-            while not node.is_leaf:
-                node = node.left if row[node.feature] <= node.threshold else node.right
-            out[i] = node.proba
-        return out
+        node = descend(
+            X, self.feature_, self.threshold_, self.left_, self.right_,
+            np.zeros(1, dtype=np.intp), self._depth,
+        )
+        return self.value_[node[:, 0]]
 
     def predict(self, X) -> np.ndarray:
         proba = self.predict_proba(X)
@@ -194,17 +232,8 @@ class DecisionTreeClassifier:
     # ------------------------------------------------------------ inspection
 
     def depth(self) -> int:
-        def _depth(node: _Node | None) -> int:
-            if node is None or node.is_leaf:
-                return 0
-            return 1 + max(_depth(node.left), _depth(node.right))
-
-        return _depth(self._root)
+        """Splits on the longest root-to-leaf path (0 for a single leaf)."""
+        return self._depth
 
     def node_count(self) -> int:
-        def _count(node: _Node | None) -> int:
-            if node is None:
-                return 0
-            return 1 + _count(node.left) + _count(node.right)
-
-        return _count(self._root)
+        return 0 if self.feature_ is None else len(self.feature_)

@@ -6,10 +6,16 @@ engine itself (flows with exact hop sequences), and one golden
 witness-path test per engine-backed flow rule in the default catalog.
 """
 
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import repro
 from repro.analysis import Analyzer, analyze_source
 from repro.analysis.dataflow import (
     MAX_TAINTS_PER_LABEL,
@@ -25,6 +31,8 @@ from repro.analysis.dataflow import (
     witness_dicts,
 )
 from repro.analysis.dataflow.catalog import is_hexsoup_literal, is_string_array
+from repro.analysis.dataflow.engine import TaintEngine
+from repro.datasets import generate_benign
 from repro.jsparser import parse
 from repro.jsparser.scope import analyze_scopes
 
@@ -403,3 +411,57 @@ class TestNeverRaises:
     def test_engine_handles_odd_shapes(self, source):
         result = taint_result(source)
         assert result.error == "" or result.degraded
+
+
+# ------------------------------------------------------------ determinism
+
+#: Analyzer reports for two seeded generator scripts after JSObfu, printed
+#: as JSON with the timings left out.  Both programs have flows whose
+#: witness used to depend on set iteration order.
+_REPORT_PROBE = """
+import json
+import numpy as np
+from repro.analysis import Analyzer
+from repro.datasets import generate_malicious
+from repro.obfuscation import JSObfu
+
+rng = np.random.default_rng(2024)
+scripts = [generate_malicious(rng) for _ in range(20)]
+reports = []
+for index in (8, 19):
+    report = Analyzer().analyze(JSObfu(seed=1).obfuscate(scripts[index])).to_dict()
+    del report["elapsed_ms"], report["dataflow_ms"]
+    reports.append(report)
+print(json.dumps(reports, sort_keys=True))
+"""
+
+
+class TestDeterminism:
+    def test_reports_do_not_depend_on_the_hash_seed(self):
+        outputs = []
+        for seed in ("1", "2"):
+            env = dict(
+                os.environ,
+                PYTHONHASHSEED=seed,
+                PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]),
+            )
+            completed = subprocess.run(
+                [sys.executable, "-c", _REPORT_PROBE],
+                capture_output=True, text=True, timeout=300, env=env,
+            )
+            assert completed.returncode == 0, completed.stderr
+            outputs.append(completed.stdout)
+        assert outputs[0] == outputs[1]
+        assert all(report["findings"] for report in json.loads(outputs[0]))
+
+    def test_repeated_runs_agree(self):
+        # Generator scripts whose transfer count used to vary from run to
+        # run in one process, with the order of readers keyed by id().
+        for seed in (18, 50, 53, 59):
+            source = generate_benign(np.random.default_rng(seed))
+            runs = []
+            for _ in range(4):
+                result = TaintEngine(parse(source)).run()
+                flows = [(f.line, f.col, f.kind, f.label, f.hops) for f in result.flows]
+                runs.append((result.transfers, flows))
+            assert all(run == runs[0] for run in runs[1:]), seed

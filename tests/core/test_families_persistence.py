@@ -44,6 +44,26 @@ class TestPersistence:
             loaded.predict_proba(split.test.sources[:5]),
         )
 
+    def test_loaded_forest_is_the_fitted_one(self, detector, split, tmp_path):
+        from ..ml.test_tree_forest import _aligned_proba_oracle, _with_thresholds_and_nan
+
+        save_detector(detector, tmp_path / "m10")
+        loaded = load_detector(tmp_path / "m10")
+        forest, restored = detector.classifier, loaded.classifier
+        assert len(restored.estimators_) == len(forest.estimators_)
+        for fitted, tree in zip(forest.estimators_, restored.estimators_):
+            for name in ("feature_", "threshold_", "left_", "right_", "value_"):
+                assert getattr(tree, name).tobytes() == getattr(fitted, name).tobytes(), name
+        rows = [detector.script_row(source).row for source in split.test.sources[:8]]
+        X = _with_thresholds_and_nan(forest, detector.feature_extractor.transform(rows))
+        proba = restored.predict_proba(X)
+        assert proba.tobytes() == _aligned_proba_oracle(forest, X).tobytes()
+        assert proba.tobytes() == forest.predict_proba(X).tobytes()
+        # Saved again, the loaded model writes the same bytes.
+        save_detector(loaded, tmp_path / "m11")
+        for name in ("model.json", "model.npz"):
+            assert (tmp_path / "m11" / name).read_bytes() == (tmp_path / "m10" / name).read_bytes()
+
     def test_explanations_survive(self, detector, tmp_path):
         save_detector(detector, tmp_path / "m3")
         loaded = load_detector(tmp_path / "m3")

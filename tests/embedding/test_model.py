@@ -101,3 +101,47 @@ class TestGradients:
     def test_invalid_dims_rejected(self):
         with pytest.raises(ValueError):
             AttentionEmbeddingModel(input_dim=0)
+
+
+class TestEmbedPaths:
+    """``embed_paths`` is the scan-time half of :meth:`forward`: Eqs. 1–2."""
+
+    @staticmethod
+    def _paths(size):
+        from repro.datasets import build_realistic_corpus
+        from repro.paths import PathExtractor, PathFeaturizer
+
+        from ..paths import oracle
+
+        if size == "serve":
+            source = build_realistic_corpus(n_benign=1, n_malicious=1, seed=3).sources[0]
+        else:
+            source = oracle.concatenated_script(8192, seed=0)
+        return PathFeaturizer().transform(PathExtractor().extract_from_source(source))
+
+    @pytest.mark.parametrize("size", ["serve", "8k"])
+    def test_equals_forward_prefix(self, size):
+        paths = self._paths(size)
+        model = AttentionEmbeddingModel(input_dim=paths.shape[1], embed_dim=300, seed=0)
+        embedded, weights = model.embed_paths(paths)
+        expected_embedded, expected_weights, _, _ = model.forward(paths)
+        assert embedded.tobytes() == expected_embedded.tobytes()
+        assert weights.tobytes() == expected_weights.tobytes()
+
+    def test_skips_script_vector_and_class_probabilities(self, monkeypatch):
+        import repro.embedding.model as model_module
+
+        softmax_calls = []
+        softmax = model_module._softmax
+
+        def counting(z):
+            softmax_calls.append(z.shape)
+            return softmax(z)
+
+        monkeypatch.setattr(model_module, "_softmax", counting)
+        model = tiny_model()
+        paths = np.random.default_rng(4).normal(size=(5, 6))
+        model.embed_paths(paths)
+        assert softmax_calls == [(5,)]  # the attention softmax only
+        model.forward(paths)
+        assert softmax_calls == [(5,), (5,), (2,)]

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dataflow import build_enhanced_ast, build_regular_ast
+import repro.dataflow.defuse
+import repro.dataflow.enhanced_ast
+from repro.dataflow import EnhancedAST, analyze_defuse, build_enhanced_ast, build_regular_ast
 from repro.jsparser import FUNCTION_TYPES, parse, walk
 from repro.paths import PathExtractor, PathFeaturizer, extract_paths
 
@@ -152,6 +154,39 @@ def test_extraction_invariants(statements):
         assert 0 < p.arrow_index < p.length
         assert p.source_value and p.target_value
     assert list(paths) == oracle.extract_all_pairs(build_enhanced_ast(parse(src)))
+
+
+class TestRegularAst:
+    """The ``use_dataflow=False`` representation carries no data flow, so it
+    runs no def-use analysis."""
+
+    def test_no_def_use_analysis(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return analyze_defuse(*args, **kwargs)
+
+        monkeypatch.setattr(repro.dataflow.defuse, "analyze_defuse", counting)
+        monkeypatch.setattr(repro.dataflow.enhanced_ast, "analyze_defuse", counting)
+        source = (EXAMPLES / CORPUS[0]).read_text()
+        assert len(PathExtractor(use_dataflow=False).extract_from_source(source)) > 0
+        assert calls == []
+        PathExtractor(use_dataflow=True).extract_from_source(source)
+        assert calls == [1]
+
+    @pytest.mark.parametrize("name", CORPUS + OBFUSCATED + [EIGHT_K])
+    def test_paths_and_features_equal_with_def_use(self, name):
+        regular = enhanced_ast(name, False)
+        program, analyzer = regular.program, regular.analyzer
+        analyzed = EnhancedAST(
+            program, analyzer, analyze_defuse(program, analyzer), parent_of=regular.parent_of
+        )
+        extractor = PathExtractor(use_dataflow=False)
+        paths, expected = extractor.extract(regular), extractor.extract(analyzed)
+        assert list(paths) == list(expected)
+        featurizer = PathFeaturizer()
+        assert featurizer.transform(paths).tobytes() == featurizer.transform(expected).tobytes()
 
 
 class TestAgainstOracle:
