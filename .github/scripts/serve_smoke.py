@@ -1,7 +1,7 @@
 """CI smoke check for `repro serve`: healthz, one scan, metrics.
 
 Usage: serve_smoke.py BASE_URL SCRIPT_PATH [--chaos] [--pool-death] [--trace-out PATH]
-       [--deobfuscate]
+       [--deobfuscate CLI_JSON]
 
 Speaks the v1 API through :class:`repro.client.ScanClient` — the same
 typed client the load generator and cluster smoke use — so the smoke
@@ -18,7 +18,12 @@ degraded-verdict + quarantine contract survives a worker kill.  With
 ``--pool-death`` (daemon booted with ``REPRO_FAULT_INJECT=1`` and
 ``--workers 2``, no limits), additionally POSTs a batch whose second
 script kills its worker and asserts both scripts still come back ``ok``
-and the daemon keeps answering.
+and the daemon keeps answering.  With ``--deobfuscate CLI_JSON`` (the
+output of ``repro scan --deobfuscate --format json`` on
+``examples/obfuscated/obfuscator_io.js``), additionally POSTs that script
+with ``deobfuscate: true`` and asserts the daemon's verdict equals the
+CLI's on label, probability, path count, normalization report (less its
+timing) and stage keys.
 Exits non-zero (with the failure printed) on any violation.
 """
 
@@ -104,8 +109,8 @@ def pool_death(client, source):
     print("pool-death: batch with a dying worker answered ok; daemon still scanning")
 
 
-def deobfuscate_check(client):
-    """The per-request pre-pass flag must surface normalization provenance."""
+def deobfuscate_check(client, reference_path):
+    """A flagged request must answer as ``repro scan --deobfuscate`` does."""
     repo_root = pathlib.Path(__file__).resolve().parents[2]
     obfuscated = (repo_root / "examples" / "obfuscated" / "obfuscator_io.js").read_text()
 
@@ -114,6 +119,18 @@ def deobfuscate_check(client):
     assert norm is not None, verdict.raw
     assert norm["changed"] is True, norm
     assert norm["rewrites"].get("string_array", 0) >= 1, norm
+
+    with open(reference_path, encoding="utf-8") as handle:
+        [reference] = json.load(handle)["results"]
+    served = verdict.raw
+    for key in ("label", "probability", "path_count"):
+        assert served[key] == reference[key], (key, served[key], reference[key])
+
+    def timeless(report):
+        return {k: v for k, v in report.items() if k != "elapsed_ms"}
+
+    assert timeless(norm) == timeless(reference["normalization"]), (norm, reference)
+    assert set(served["stage_ms"]) == set(reference["stage_ms"]), (served, reference)
 
     # A traced flagged request carries the report in the verdict provenance.
     traceparent = f"00-{'d2' * 16}-{'cd' * 8}-01"
@@ -128,7 +145,8 @@ def deobfuscate_check(client):
 
     text = client.metrics_text()
     assert 'repro_deobfuscate_scripts_total{result="changed"}' in text, text[:400]
-    print("deobfuscate: normalization report rode the verdict, provenance, and metrics")
+    print("deobfuscate: the daemon's flagged verdict equals the CLI's; the report rode the "
+          "verdict, provenance, and metrics")
 
 
 def main(base_url, script_path, extra):
@@ -154,7 +172,7 @@ def main(base_url, script_path, extra):
     if "--trace-out" in extra:
         trace_check(client, source, extra[extra.index("--trace-out") + 1])
     if "--deobfuscate" in extra:
-        deobfuscate_check(client)
+        deobfuscate_check(client, extra[extra.index("--deobfuscate") + 1])
     if "--chaos" in extra:
         chaos(client)
     if "--pool-death" in extra:

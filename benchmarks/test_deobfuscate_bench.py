@@ -30,7 +30,6 @@ import pytest
 from repro.bench import bench_params
 from repro.core import JSRevealer, JSRevealerConfig
 from repro.datasets import experiment_split
-from repro.deobfuscate import Deobfuscator
 from repro.obfuscation import ALL_OBFUSCATORS
 from repro.pipeline import BatchScanner
 
@@ -57,8 +56,7 @@ def detection_rate(report, labels):
 
 def ab_comparison(detector, split):
     pairs = list(zip(split.test.sources, split.test.labels))
-    plain = BatchScanner(detector)
-    passed = BatchScanner(detector, deobfuscate=Deobfuscator())
+    scanner = BatchScanner(detector)
 
     techniques = {}
     for name, cls in ALL_OBFUSCATORS.items():
@@ -70,8 +68,8 @@ def ab_comparison(detector, split):
                 labels.append(label)
             except Exception:
                 failures += 1
-        off = plain.scan(variants)
-        on = passed.scan(variants)
+        off = scanner.scan(variants)
+        on = scanner.scan(variants, deobfuscate=True)
         normalized = sum(1 for r in on.results if r.normalization is not None)
         techniques[name] = {
             "n_variants": len(variants),

@@ -7,6 +7,7 @@ accuracy/F1/FPR/FNR, with random forest best (and chosen for its
 interpretability).  This bench reruns that sweep.
 """
 
+import numpy as np
 import pytest
 
 from repro.bench import bench_params, default_jsrevealer_config
@@ -24,7 +25,7 @@ from repro.ml import (
 CLASSIFIERS = {
     "svm": lambda: LinearSVC(n_iter=25, random_state=0),
     "logistic": lambda: LogisticRegression(n_iter=800, learning_rate=0.5),
-    "decision-tree": lambda: DecisionTreeClassifier(max_depth=8),
+    "decision-tree": lambda: DecisionTreeClassifier(max_depth=8, rng=np.random.default_rng(0)),
     "gaussian-nb": lambda: GaussianNB(),
     "random-forest": lambda: RandomForestClassifier(n_estimators=60, random_state=0),
 }

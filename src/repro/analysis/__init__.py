@@ -20,9 +20,9 @@ from .analyzer import (
     PARSE_ERROR_RULE_ID,
     Analyzer,
     analyze_source,
-    annotate_raw_spans,
-    apply_raw_suppressions,
     map_raw_line,
+    map_to_submitted,
+    normalize_and_analyze,
     parse_suppressions,
 )
 from .catalog import (
@@ -61,13 +61,13 @@ __all__ = [
     "TaintEngine",
     "TaintResult",
     "analyze_source",
-    "annotate_raw_spans",
-    "apply_raw_suppressions",
     "callee_name",
     "combine_score",
     "default_rules",
     "flow_rules",
     "map_raw_line",
+    "map_to_submitted",
+    "normalize_and_analyze",
     "parse_suppressions",
     "run_taint",
     "severity_at_least",

@@ -31,6 +31,7 @@ from .findings import (
 from .rules import Rule, RuleContext
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.deobfuscate import Deobfuscator, NormalizationReport
     from repro.jsparser.lexer import Comment
     from repro.obs import MetricsRegistry
 
@@ -184,7 +185,7 @@ class Analyzer:
         self,
         source: str,
         name: str = "<script>",
-        line_map: dict[int, int] | None = None,
+        norm: "NormalizationReport | None" = None,
         raw_source: str | None = None,
     ) -> AnalysisReport:
         """Analyze one script; never raises.
@@ -193,14 +194,12 @@ class Analyzer:
             source: the text to analyze (possibly a deobfuscated
                 normalization of the original script).
             name: display name for the report.
-            line_map: when ``source`` is normalized text, the
-                normalized→raw line map from the normalization report;
-                findings and witness hops gain ``raw_line`` spans mapped
-                back to the original script.
+            norm: when ``source`` is normalized text, its normalization
+                report; the findings are mapped back to the original
+                script by :func:`map_to_submitted`.
             raw_source: the pre-normalization text, when ``source`` is
                 normalized.  Normalization drops comments, so
-                ``// repro-ignore`` directives are lexed from here and
-                matched against the mapped-back ``raw_line`` spans.
+                ``// repro-ignore`` directives are lexed from here.
         """
         started = time.perf_counter()
         try:
@@ -219,10 +218,7 @@ class Analyzer:
                 error="recursion limit exceeded while analyzing",
             )
         report.elapsed_ms = 1000.0 * (time.perf_counter() - started)
-        if line_map is not None:
-            annotate_raw_spans(report, line_map)
-            if raw_source is not None:
-                apply_raw_suppressions(report, raw_source)
+        map_to_submitted(report, norm, raw_source)
         if self.metrics is not None:
             self._m_scripts.inc()
             self._m_seconds.observe(report.elapsed_ms / 1000.0)
@@ -372,38 +368,40 @@ def map_raw_line(line_map: dict[int, int], line: int) -> int | None:
     return line_map[best] if best is not None else None
 
 
-def annotate_raw_spans(report: AnalysisReport, line_map: dict[int, int]) -> None:
-    """Attach pre-normalization ``raw_line`` spans to findings and hops."""
+def map_to_submitted(
+    report: AnalysisReport, norm: "NormalizationReport | None", raw_source: str | None = None
+) -> None:
+    """Map a report over normalized text back onto the submitted script.
+
+    The one map-back rule: only a normalization that changed the text
+    (``norm.changed``) has spans to map.  Findings and witness hops gain
+    pre-normalization ``raw_line`` spans through its line map.  Then a
+    ``// repro-ignore`` directive of ``raw_source``, when given, on the
+    raw line a finding (or its witness source/sink hop) maps back to
+    silences it, exactly as it would have had normalization not rewritten
+    the comment away; the score and decisive flag are refolded over the
+    survivors.
+    """
+    if norm is None or not norm.changed:
+        return
     for finding in report.findings:
-        finding.raw_line = map_raw_line(line_map, finding.line)
+        finding.raw_line = map_raw_line(norm.line_map, finding.line)
         for hop in finding.witness:
-            raw = map_raw_line(line_map, int(hop.get("line", 0)))
+            raw = map_raw_line(norm.line_map, int(hop.get("line", 0)))
             if raw is not None:
                 hop["raw_line"] = raw
-
-
-def apply_raw_suppressions(report: AnalysisReport, raw_source: str) -> None:
-    """Apply ``// repro-ignore`` directives from pre-normalization text.
-
-    Runs after :func:`annotate_raw_spans`: a directive on the raw line a
-    finding (or its witness source/sink hop) maps back to silences it,
-    exactly as it would have had normalization not rewritten the comment
-    away.  The score and decisive flag are refolded over the survivors.
-    """
-    suppressions = raw_suppressions(raw_source)
+    suppressions = raw_suppressions(raw_source) if raw_source is not None else {}
     if not suppressions:
         return
     kept: list[Finding] = []
-    dropped = False
     for finding in report.findings:
         matched_line = _raw_suppression_line(finding, suppressions)
         if matched_line is not None:
-            dropped = True
             report.suppressed += 1
             report.suppressed_at.append({"rule_id": finding.rule_id, "line": matched_line})
         else:
             kept.append(finding)
-    if not dropped:
+    if len(kept) == len(report.findings):
         return
     report.findings = kept
     weights = [
@@ -411,6 +409,26 @@ def apply_raw_suppressions(report: AnalysisReport, raw_source: str) -> None:
     ]
     report.score = combine_score(weights)
     report.decisive = any(f.decisive for f in kept)
+
+
+def normalize_and_analyze(
+    source: str,
+    name: str,
+    deobfuscator: "Deobfuscator | None" = None,
+    analyzer: Analyzer | None = None,
+) -> tuple[str, "NormalizationReport | None", AnalysisReport | None]:
+    """Normalize ``source``, analyze the normalized text, map findings back.
+
+    The one intake sequence of every deobfuscating caller: ``repro
+    analyze --deobfuscate``, the daemon's ``/v1/analyze`` and
+    :class:`~repro.pipeline.BatchScanner` triage.  A step whose engine is
+    ``None`` is skipped.  Returns ``(text, norm, report)``: the text the
+    rest of a pipeline sees (``source`` itself unless a rewrite
+    survived), the normalization report and the analysis.
+    """
+    text, norm = (source, None) if deobfuscator is None else deobfuscator.normalize(source, name=name)
+    report = None if analyzer is None else analyzer.analyze(text, name, norm=norm, raw_source=source)
+    return text, norm, report
 
 
 def analyze_source(source: str, name: str = "<script>") -> AnalysisReport:

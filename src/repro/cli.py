@@ -251,7 +251,7 @@ def _format_witness(finding) -> list[str]:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     # Same exit-code contract as scan: 0 clean, 1 flagged, 2 usage error —
     # "flagged" here means a finding at or above --fail-on severity.
-    from repro.analysis import Analyzer, severity_at_least
+    from repro.analysis import Analyzer, normalize_and_analyze, severity_at_least
 
     _configure_logging(args)
     sources, names = _read_inputs(args.paths)
@@ -259,30 +259,21 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         print("no input files", file=sys.stderr)
         return 2
     analyzer = Analyzer()
-    norm_dicts: list[dict | None] = [None] * len(sources)
+    deobfuscator = None
     if getattr(args, "deobfuscate", False):
-        # Same ordering contract as the scan pipeline: normalize first so
-        # the rules (and the taint engine) see the deobfuscated text, and
-        # map finding spans back to the submitted file via the line map.
         from repro.deobfuscate import Deobfuscator
 
         deobfuscator = Deobfuscator()
-        reports = []
-        for source, name in zip(sources, names):
-            normalized, norm_report = deobfuscator.normalize(source, name=name)
-            line_map = norm_report.line_map if norm_report.changed else None
-            reports.append(
-                analyzer.analyze(
-                    normalized,
-                    name,
-                    line_map=line_map,
-                    raw_source=source if line_map is not None else None,
-                )
-            )
-            if norm_report.interesting:
-                norm_dicts[len(reports) - 1] = norm_report.to_dict()
-    else:
-        reports = analyzer.analyze_batch(sources, names=names)
+    # The scan pipeline's intake: normalize first so the rules (and the
+    # taint engine) see the deobfuscated text, then map findings back to
+    # the submitted file.
+    reports = []
+    norm_dicts: list[dict | None] = []
+    for source, name in zip(sources, names):
+        _, norm, report = normalize_and_analyze(source, name, deobfuscator, analyzer)
+        assert report is not None  # an analyzer was given
+        reports.append(report)
+        norm_dicts.append(norm.to_dict() if norm is not None and norm.interesting else None)
     failing = sum(
         1
         for report in reports

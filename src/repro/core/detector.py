@@ -241,16 +241,6 @@ class JSRevealer(ScriptPrefix):
             from repro.analysis import Analyzer
 
             analyzer = Analyzer()
-        tracer = None
-        if trace:
-            from repro.obs import Tracer
-
-            tracer = Tracer(sample_rate=1.0)
-        deobfuscator = None
-        if deobfuscate:
-            from repro.deobfuscate import Deobfuscator
-
-            deobfuscator = Deobfuscator(limits=limits)
         with BatchScanner(
             self,
             n_workers=n_workers,
@@ -258,10 +248,10 @@ class JSRevealer(ScriptPrefix):
             triage=analyzer,
             limits=limits,
             quarantine=quarantine,
-            tracer=tracer,
-            deobfuscate=deobfuscator,
         ) as scanner:
-            return scanner.scan(sources, names=names, threshold=threshold, trace=trace or None)
+            return scanner.scan(
+                sources, names=names, threshold=threshold, trace=trace, deobfuscate=deobfuscate
+            )
 
     def predict(self, sources: list[str]) -> np.ndarray:
         """Label array (1 = malicious); thin wrapper over :meth:`scan_batch`."""

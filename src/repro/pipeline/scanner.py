@@ -36,6 +36,13 @@ kills its worker is quarantined and answered with a structured degraded
 verdict while every other script in the batch gets its normal,
 byte-identical result.  See DESIGN.md §9.
 
+Per-request options: :meth:`BatchScanner.scan` is the one place where
+they take effect.  ``deobfuscate`` (one bool, or one per script) sends
+the flagged scripts through the scanner's own
+:class:`~repro.deobfuscate.Deobfuscator` before triage and content keys,
+and ``trace`` records the batch span tree; a daemon micro-batch mixing
+flagged and traced requests hands its per-item flags straight through.
+
 Bookkeeping: each script's state (stage timings, content key, cache
 entry, status, fault, analysis, provenance) lives in one private
 ``_Script`` record from intake to its :class:`ScanResult`.  Identical
@@ -64,7 +71,7 @@ from repro.faults import (
     Task,
 )
 from repro.ml import DecisionTreeClassifier, RandomForestClassifier
-from repro.obs.trace import SpanContext, trace_spans
+from repro.obs.trace import Tracer, trace_spans
 
 from .cache import CacheEntry, FeatureCache, content_key
 from .results import STAGE_KEYS, STATUS_OK, ScanReport, ScanResult
@@ -73,8 +80,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.analysis import Analyzer, AnalysisReport
     from repro.core.detector import JSRevealer
     from repro.core.prefix import ScriptRow
-    from repro.deobfuscate import Deobfuscator, NormalizationReport
-    from repro.obs import MetricsRegistry, Span, Tracer
+    from repro.deobfuscate import NormalizationReport
+    from repro.obs import MetricsRegistry, Span
 
 #: Classifiers whose ``predict`` is ``classes_[argmax(predict_proba(X))]``:
 #: one ``predict_proba`` pass yields their labels too.  Exact types only, as
@@ -155,22 +162,11 @@ class BatchScanner:
         quarantine: Optional :class:`~repro.faults.QuarantineJournal`;
             scripts that faulted once are never re-dispatched.  Defaults to
             a memory-only journal whenever ``limits`` are active.
-        tracer: Optional :class:`~repro.obs.Tracer`.  When given, each
-            :meth:`scan` call may open a ``scan.batch`` root span (subject
-            to the tracer's sampling or the call's ``trace=`` override)
-            with per-file stage spans (a ``worker.<kind>`` span, with the
-            worker's pid, for work a pool worker answered), and verdict
-            provenance attached to every :class:`ScanResult`.  ``None``
-            disables tracing entirely — verdicts and JSON output are
-            byte-identical either way.
-        deobfuscate: Optional :class:`~repro.deobfuscate.Deobfuscator`.
-            When given, every source is normalized *before* triage,
-            content keys, and embedding, so the whole pipeline sees the
-            deobfuscated text.  Clean scripts come back verbatim (the
-            normalizer's byte-identical no-op contract), keeping their
-            verdicts and cache keys untouched; rewritten scripts carry a
-            ``normalization`` report on their :class:`ScanResult` and a
-            ``deobfuscate`` span when traced.
+
+    The scanner owns one :class:`~repro.deobfuscate.Deobfuscator`
+    (``deobfuscator``) under its ``limits`` and ``metrics``, so every
+    ``repro_deobfuscate_*`` series is registered before the first
+    flagged script.
     """
 
     def __init__(
@@ -182,8 +178,6 @@ class BatchScanner:
         triage: "Analyzer | None" = None,
         limits: ScanLimits | None = None,
         quarantine: QuarantineJournal | None = None,
-        tracer: "Tracer | None" = None,
-        deobfuscate: "Deobfuscator | None" = None,
     ):
         if n_workers < 1:
             raise ValueError("n_workers must be positive")
@@ -199,9 +193,10 @@ class BatchScanner:
         if quarantine is None and self.isolated:
             quarantine = QuarantineJournal()
         self.quarantine = quarantine
-        self.tracer = tracer
-        self.deobfuscate = deobfuscate
         self.metrics = metrics
+        from repro.deobfuscate import Deobfuscator
+
+        self.deobfuscator = Deobfuscator(limits=limits, metrics=metrics)
         if metrics is not None:
             from repro.obs.metrics import DEFAULT_SIZE_BUCKETS
 
@@ -271,18 +266,24 @@ class BatchScanner:
         sources: list[str],
         names: list[str] | None = None,
         threshold: float = 0.5,
-        trace: bool | None = None,
-        trace_parent: SpanContext | None = None,
+        trace: bool = False,
+        deobfuscate: bool | list[bool] = False,
     ) -> ScanReport:
         """Scan a batch; see the class docstring for the moving parts.
 
         Args:
-            trace: ``True`` forces this batch to be traced, ``False``
-                forces it off, ``None`` (default) defers to the tracer's
-                sampling (never traced without a tracer).
-            trace_parent: Propagated :class:`SpanContext` to parent the
-                batch root span under (e.g. from an inbound
-                ``traceparent`` header).
+            trace: Record a ``scan.batch`` span tree with per-file stage
+                spans (a ``worker.<kind>`` span, with the worker's pid, for
+                work a pool worker answered) and attach verdict provenance
+                to every :class:`ScanResult`.  Verdicts are byte-identical
+                either way.
+            deobfuscate: One flag for the batch, or one per script.  A
+                flagged source is normalized *before* triage, content keys
+                and embedding, so the whole pipeline sees the deobfuscated
+                text.  Clean scripts come back verbatim (the normalizer's
+                byte-identical no-op contract), keeping their verdicts and
+                cache keys; rewritten ones carry a ``normalization`` report
+                and, when traced, a ``deobfuscate`` span.
         """
         detector = self.detector
         if not detector._fitted:
@@ -293,57 +294,47 @@ class BatchScanner:
             names = [f"<script:{i}>" for i in range(n)]
         if len(names) != n:
             raise ValueError("names and sources length mismatch")
+        flags = [deobfuscate] * n if isinstance(deobfuscate, bool) else list(deobfuscate)
+        if len(flags) != n:
+            raise ValueError("deobfuscate and sources length mismatch")
 
         root: "Span | None" = None
-        if self.tracer is not None and trace is not False:
-            candidate = self.tracer.start_trace(
+        if trace:
+            root = Tracer().start_trace(  # type: ignore[assignment]
                 "scan.batch",
-                parent=trace_parent,
                 attributes={"n_scripts": n, "n_workers": self.n_workers, "isolated": self.isolated},
-                force=trace,
+                force=True,
             )
-            if candidate.recording:
-                root = candidate  # type: ignore[assignment]
         recording = root is not None
         scripts = [
             _Script(i, str(name), raw_source=source, source=source)
             for i, (name, source) in enumerate(zip(names, sources))
         ]
 
-        # Deobfuscation pre-pass: rewrite sources *before* triage and
+        # Intake: flagged scripts are normalized *before* triage and
         # content keys, so rules, cache, dedup, and embedding all see the
         # normalized text (two obfuscated variants of one payload even
         # dedup to one embedding).  Clean scripts come back verbatim —
-        # the normalizer's byte-identical no-op contract — so enabling
-        # the pass cannot perturb their verdicts or cache keys.
-        deob_ms: float | None = None
-        if self.deobfuscate is not None:
-            deob_started = time.perf_counter()
-            for script in scripts:
-                script.source, script.norm = self.deobfuscate.normalize(
-                    script.raw_source, name=script.name
-                )
-                if script.norm.interesting:
-                    script.ms["deobfuscate"] = script.norm.elapsed_ms
-            deob_ms = 1000.0 * (time.perf_counter() - deob_started)
+        # the normalizer's byte-identical no-op contract — so the flag
+        # cannot perturb their verdicts or cache keys.  Triage analyzes
+        # what the pipeline sees, with findings mapped back to the
+        # submitted text; decisive hits never reach the embedding
+        # pipeline (or the cache — no features were computed).
+        if self.triage is not None or any(flags):
+            from repro.analysis import normalize_and_analyze
 
-        # Triage fast-path: analyze first; decisive hits never reach the
-        # embedding pipeline (or the cache — no features were computed).
-        if self.triage is not None:
-            for script in scripts:
-                # When the pre-pass rewrote this script, analysis runs over
-                # the normalized text; the line map lets findings (and taint
-                # witness hops) report spans in the submitted original too.
-                norm = script.norm
-                line_map = norm.line_map if norm is not None and norm.changed else None
-                script.analysis = self.triage.analyze(
-                    script.source,
-                    name=script.name,
-                    line_map=line_map,
-                    raw_source=script.raw_source if line_map is not None else None,
+            for script, flag in zip(scripts, flags):
+                script.source, script.norm, script.analysis = normalize_and_analyze(
+                    script.raw_source,
+                    script.name,
+                    self.deobfuscator if flag else None,
+                    self.triage,
                 )
-                script.ms["analysis"] = script.analysis.elapsed_ms
-                script.triaged = script.analysis.decisive
+                if script.norm is not None and script.norm.interesting:
+                    script.ms["deobfuscate"] = script.norm.elapsed_ms
+                if script.analysis is not None:
+                    script.ms["analysis"] = script.analysis.elapsed_ms
+                    script.triaged = script.analysis.decisive
 
         pending: list[_Script] = []
         for script in scripts:
@@ -511,8 +502,8 @@ class BatchScanner:
         }
         if self.triage is not None or analysis_total_ms:
             stage_totals["analysis"] = analysis_total_ms
-        if deob_ms is not None:
-            stage_totals["deobfuscate"] = deob_ms
+        if any(flags):
+            stage_totals["deobfuscate"] = sum(s.norm.elapsed_ms for s in scripts if s.norm is not None)
         report = ScanReport(
             results=results,
             threshold=threshold,
@@ -759,7 +750,7 @@ class BatchScanner:
         deadline-bounded pool task.  A script whose analysis also faults
         simply stays verdictless.  Skipped where triage already ran.
         """
-        from repro.analysis import AnalysisReport, annotate_raw_spans, apply_raw_suppressions
+        from repro.analysis import AnalysisReport, map_to_submitted
 
         todo = [s for s in faulted if s.analysis is None]
         if not todo:
@@ -770,11 +761,8 @@ class BatchScanner:
                 continue
             report = AnalysisReport.from_dict(outcome.payload)
             # The pool task analyzed the (already normalized) source; map
-            # spans back to the submitted original here, outside the task.
-            norm = script.norm
-            if norm is not None and norm.changed and norm.line_map:
-                annotate_raw_spans(report, norm.line_map)
-                apply_raw_suppressions(report, script.raw_source)
+            # it back to the submitted original here, outside the task.
+            map_to_submitted(report, script.norm, script.raw_source)
             script.analysis = report
             script.ms["analysis"] = outcome.elapsed_ms
             script.worker, script.worker_start = outcome, time.time() - outcome.elapsed_ms / 1000.0

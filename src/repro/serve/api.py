@@ -127,6 +127,33 @@ def protocol_error_response(error: ProtocolError) -> bytes:
     return error_response(error.status, error.message, keep_alive=False)
 
 
+def parse_batch_scripts(payload: dict) -> list[tuple[str, str]]:
+    """A ``/scan/batch`` body's ``scripts`` as ``(source, name)`` pairs.
+
+    Each entry is a source string or ``{"source": str, "name"?: str}``;
+    an unnamed one is ``<batch:i>`` by its index in the caller's array,
+    and a 400 :class:`ProtocolError` names that index too.  The daemon
+    and the router both parse with this, the router before it fans out.
+    """
+    scripts = payload.get("scripts")
+    if not isinstance(scripts, list) or not scripts:
+        raise ProtocolError(400, '"scripts" must be a non-empty array')
+    pairs = []
+    for index, entry in enumerate(scripts):
+        if isinstance(entry, str):
+            pairs.append((entry, f"<batch:{index}>"))
+        elif isinstance(entry, dict) and isinstance(entry.get("source"), str):
+            name = entry.get("name", f"<batch:{index}>")
+            if not isinstance(name, str):
+                raise ProtocolError(400, f"scripts[{index}].name must be a string")
+            pairs.append((entry["source"], name))
+        else:
+            raise ProtocolError(
+                400, f'scripts[{index}] must be a string or an object with a "source" string'
+            )
+    return pairs
+
+
 def parse_envelope(status: int, body: bytes) -> object:
     """Client-side unwrap: return ``data`` or raise :class:`EnvelopeError`.
 

@@ -9,15 +9,24 @@ queue (:mod:`repro.serve.batching`), the existing
 (one of each, shared by all clients), and the
 :class:`~repro.obs.MetricsRegistry` observability layer together.
 
+Per-request scan options (``deobfuscate``, and whether a traced request
+waits on the batch) ride each queued item's meta into
+:meth:`BatchScanner.scan`, so a flagged request is answered exactly as
+``repro scan --deobfuscate`` answers it.  ``/v1/analyze`` runs the same
+normalize → analyze → map-back sequence
+(:func:`~repro.analysis.normalize_and_analyze`) on the scanner's
+:class:`~repro.deobfuscate.Deobfuscator`.
+
 Endpoints (mounted under ``/v1``; see API.md for the envelope contract —
 the bare legacy paths remain as deprecation aliases)::
 
-    POST /v1/scan        {"source": str, "name"?: str, "threshold"?: float}
+    POST /v1/scan        {"source": str, "name"?: str, "threshold"?: float,
+                          "deobfuscate"?: bool}
                          → 200 envelope, data = ScanResult object
     POST /v1/scan/batch  {"scripts": [{"source": str, "name"?: str} | str, ...],
-                          "threshold"?: float}
+                          "threshold"?: float, "deobfuscate"?: bool}
                          → 200 envelope, data = {"results": [...], ...}
-    POST /v1/analyze     {"source": str, "name"?: str}
+    POST /v1/analyze     {"source": str, "name"?: str, "deobfuscate"?: bool}
                          → 200 envelope, data = AnalysisReport (static
                            analysis only; no model, no micro-batch queue)
     POST /v1/admin/reload {"model_dir": str}
@@ -52,11 +61,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.analysis import Analyzer
+from repro.analysis import Analyzer, normalize_and_analyze
 from repro.faults import CircuitBreaker, QuarantineJournal, ScanLimits
-from repro.obs import MetricsRegistry, SpanContext, Tracer, get_logger
+from repro.obs import MetricsRegistry, SpanContext, get_logger
 from repro.pipeline import BatchScanner, FeatureCache
 
+from .api import parse_batch_scripts
 from .batching import Draining, MicroBatcher, QueueFull
 from .http import MAX_BODY_BYTES, ProtocolError, Request
 from .service import (
@@ -169,21 +179,13 @@ class ScanServer(HTTPService):
             metrics=self.metrics,
         )
         self.log = get_logger("serve")
-        # Per-request traces land in the service's /debug/traces ring; the
-        # scanner gets its own never-sampling tracer — batch traces are
-        # recorded only when a traced request is waiting on the batch, then
-        # grafted under each such request's root span.
+        # Per-request traces land in the service's /debug/traces ring; a
+        # batch trace is recorded only when a traced request is waiting on
+        # the batch, then grafted under each such request's root span.
         self.scanner = self._build_scanner(detector, self.cache)
         # Static analysis shares the metrics registry, so /metrics exposes
         # per-rule finding counters next to the scan histograms.
         self.analyzer = Analyzer(metrics=self.metrics)
-        # The deobfuscation engine is model-independent and always built:
-        # requests can opt in per call even when the server default is
-        # off, and building it here pre-registers every
-        # ``repro_deobfuscate_*`` series on /metrics at zero.
-        from repro.deobfuscate import Deobfuscator
-
-        self.deobfuscator = Deobfuscator(limits=self.config.scan_limits(), metrics=self.metrics)
         self._executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix="repro-scan")
         self.batcher = MicroBatcher(
             self._scan_batch,
@@ -191,7 +193,6 @@ class ScanServer(HTTPService):
             max_batch=self.config.max_batch,
             queue_limit=self.config.queue_limit,
             metrics=self.metrics,
-            pass_meta=True,
         )
         #: Model epoch: 0 for the boot model, +1 per successful
         #: ``POST /v1/admin/reload``.  The supervisor's rolling reload
@@ -217,46 +218,20 @@ class ScanServer(HTTPService):
         }
 
     # The executor-side entry point; wrapped so tests/benches can stub it.
-    def _scan_batch(self, sources: list[str], names: list[str], metas: list[dict] | None = None):
-        # One traced request in the micro-batch is enough to record the
-        # whole batch's spans (they are grafted into every traced waiter).
-        want_trace = any(meta.get("trace") for meta in metas or [])
-        # Deobfuscation is per *request* while the scan is per micro-batch,
-        # so flagged sources are normalized here — before the scanner, so
-        # its cache keys on the normalized text — and the reports are
-        # re-attached to the matching results after.  The engine never
-        # raises; clean scripts come back verbatim.
-        norm_reports: list = [None] * len(sources)
-        if metas and any(meta.get("deobfuscate") for meta in metas):
-            sources = list(sources)
-            for i, meta in enumerate(metas):
-                if not meta.get("deobfuscate"):
-                    continue
-                normalized, norm_report = self.deobfuscator.normalize(
-                    sources[i], name=str(names[i])
-                )
-                sources[i] = normalized
-                if norm_report.interesting:
-                    norm_reports[i] = norm_report
+    def _scan_batch(self, sources: list[str], names: list[str], metas: list[dict]):
         try:
             report = self.scanner.scan(
                 sources,
                 names=names,
                 threshold=self.config.threshold,
-                trace=True if want_trace else None,
+                # One traced request in the micro-batch is enough to record
+                # the whole batch's spans (grafted into every traced waiter).
+                trace=any(meta.get("trace") for meta in metas),
+                deobfuscate=[bool(meta.get("deobfuscate")) for meta in metas],
             )
         except Exception:
             self.breaker.record_failure()
             raise
-        for i, norm_report in enumerate(norm_reports):
-            if norm_report is None or i >= len(report.results):
-                continue
-            result = report.results[i]
-            result.normalization = norm_report.to_dict()
-            if result.trace is not None:
-                result.trace.setdefault("provenance", {})[
-                    "normalization"
-                ] = norm_report.to_dict()
         # Each *fresh* fault cost one worker (known-quarantined scripts are
         # answered without dispatching, so they don't count); a clean batch
         # closes the breaker again.  Thread-safe: we are on the single
@@ -383,18 +358,6 @@ class ScanServer(HTTPService):
             raise ProtocolError(400, '"deobfuscate" must be a boolean')
         return flag
 
-    def _analyze_normalized(self, source: str, name: str):
-        """Normalize then analyze; spans map back via the line map."""
-        normalized, norm_report = self.deobfuscator.normalize(source, name=name)
-        line_map = norm_report.line_map if norm_report.changed else None
-        report = self.analyzer.analyze(
-            normalized,
-            name,
-            line_map=line_map,
-            raw_source=source if line_map is not None else None,
-        )
-        return report, norm_report
-
     @staticmethod
     def _result_payload(result, threshold: float) -> dict:
         out = result.to_dict()
@@ -510,17 +473,17 @@ class ScanServer(HTTPService):
         with root:
             root.set_attribute("script", name)
             loop = asyncio.get_running_loop()
-            norm_report = None
-            if deobfuscate:
-                # Same ordering contract as the scan pipeline: normalize
-                # first, analyze the normalized text, and report both the
-                # normalized spans and (via the line map) the raw spans of
-                # the script the caller actually submitted.
-                report, norm_report = await loop.run_in_executor(
-                    None, self._analyze_normalized, source, name
-                )
-            else:
-                report = await loop.run_in_executor(None, self.analyzer.analyze, source, name)
+            # The scan pipeline's intake: normalize when flagged, analyze,
+            # and map findings back to the script the caller submitted.
+            _, norm_report, report = await loop.run_in_executor(
+                None,
+                normalize_and_analyze,
+                source,
+                name,
+                self.scanner.deobfuscator if deobfuscate else None,
+                self.analyzer,
+            )
+            assert report is not None  # an analyzer was given
             root.synthesize("analysis", report.elapsed_ms, attributes={"n_findings": report.n_findings})
             body = report.to_dict()
             if norm_report is not None and norm_report.interesting:
@@ -532,36 +495,17 @@ class ScanServer(HTTPService):
 
     async def _handle_scan_batch(self, request: Request) -> tuple[int, bytes]:
         payload = request.json()
-        scripts = payload.get("scripts")
-        if not isinstance(scripts, list) or not scripts:
-            raise ProtocolError(400, '"scripts" must be a non-empty array')
+        scripts = parse_batch_scripts(payload)
         threshold = self._parse_threshold(payload)
         deobfuscate = self._parse_deobfuscate(payload)
 
-        sources: list[str] = []
-        names: list[str] = []
-        for index, entry in enumerate(scripts):
-            if isinstance(entry, str):
-                source, name = entry, f"<batch:{index}>"
-            elif isinstance(entry, dict) and isinstance(entry.get("source"), str):
-                source = entry["source"]
-                name = entry.get("name", f"<batch:{index}>")
-                if not isinstance(name, str):
-                    raise ProtocolError(400, f'scripts[{index}].name must be a string')
-            else:
-                raise ProtocolError(
-                    400, f'scripts[{index}] must be a string or an object with a "source" string'
-                )
-            sources.append(source)
-            names.append(name)
-
         root = self._start_request_trace(request, "http.scan_batch")
         with root:
-            root.set_attribute("n_scripts", len(sources))
+            root.set_attribute("n_scripts", len(scripts))
             submitted = time.perf_counter()
             futures: list[asyncio.Future] = []
             try:
-                for source, name in zip(sources, names):
+                for source, name in scripts:
                     futures.append(
                         await self._submit(
                             source,
@@ -642,7 +586,6 @@ class ScanServer(HTTPService):
             metrics=self.metrics,
             limits=self.config.scan_limits(),
             quarantine=self.quarantine,
-            tracer=Tracer(sample_rate=0.0),
         )
 
     def _swap_model(self, detector, scanner, cache) -> None:

@@ -14,7 +14,9 @@ than coalesced into one :meth:`BatchScanner.scan` call.  The batcher:
 * dispatches one batch at a time to the scan callable in an executor
   thread (the scanner and its cache are not concurrency-safe; serializing
   batches also lets the queue refill while a batch runs, which is what
-  makes the batching *adaptive* under load),
+  makes the batching *adaptive* under load), handing it each item's
+  per-request options (its ``meta``) alongside the sources, so options
+  such as ``deobfuscate`` take effect per script inside one batch,
 * drops items whose waiter already gave up (a timed-out request, a
   rejected batch request) instead of scanning them,
 * resolves each item's future with its :class:`ScanResult` plus the
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import asyncio
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
@@ -53,26 +56,26 @@ class _Item:
     name: str
     future: asyncio.Future = field(repr=False)
     enqueued_at: float = field(default_factory=time.perf_counter)
-    #: Opaque per-item request context (e.g. ``{"trace": True}``); handed
-    #: to the scan callable only when the batcher was built with
-    #: ``pass_meta=True``.
+    #: Per-item request options (e.g. ``{"trace": True}``), handed to the
+    #: scan callable with the batch.
     meta: dict = field(default_factory=dict)
+
+
+#: Dispatched batch sizes kept in :attr:`MicroBatcher.batch_sizes`.
+BATCH_SIZE_HISTORY = 256
 
 
 class MicroBatcher:
     """Coalesce concurrent scan submissions into bounded batches.
 
     Args:
-        scan: ``scan(sources, names) -> ScanReport``; runs in ``executor``.
+        scan: ``scan(sources, names, metas) -> ScanReport``, with one meta
+            dict per item; runs in ``executor``.
         executor: Where ``scan`` executes (typically a single-thread pool —
             see the class docstring for why batches are serialized).
         max_batch: Most items dispatched in one batch.
         queue_limit: Maximum admitted-but-undispatched items.
         metrics: Optional registry for queue/batch/latency metrics.
-        pass_meta: When ``True``, ``scan`` is called as
-            ``scan(sources, names, metas)`` with one meta dict per item —
-            how the server tells the scanner which batches carry traced
-            requests.  Defaults to ``False`` (the 2-argument contract).
     """
 
     def __init__(
@@ -82,14 +85,12 @@ class MicroBatcher:
         max_batch: int = 8,
         queue_limit: int = 64,
         metrics: "MetricsRegistry | None" = None,
-        pass_meta: bool = False,
     ):
         if max_batch < 1:
             raise ValueError("max_batch must be positive")
         if queue_limit < 1:
             raise ValueError("queue_limit must be positive")
         self._scan = scan
-        self._pass_meta = pass_meta
         self._executor = executor
         self.max_batch = max_batch
         self.queue_limit = queue_limit
@@ -98,8 +99,9 @@ class MicroBatcher:
         self._outstanding: set[asyncio.Future] = set()  # admitted, not yet resolved
         self._draining = False
         self._task: asyncio.Task | None = None
-        #: Sizes of every dispatched batch, oldest first (test/bench hook).
-        self.batch_sizes: list[int] = []
+        #: Sizes of the most recent dispatched batches, oldest first
+        #: (test/bench hook).
+        self.batch_sizes: deque[int] = deque(maxlen=BATCH_SIZE_HISTORY)
 
         self._metrics = metrics
         if metrics is not None:
@@ -204,9 +206,9 @@ class MicroBatcher:
         loop = asyncio.get_running_loop()
         sources = [item.source for item in batch]
         names = [item.name for item in batch]
-        args = (sources, names, [item.meta for item in batch]) if self._pass_meta else (sources, names)
+        metas = [item.meta for item in batch]
         try:
-            report = await loop.run_in_executor(self._executor, self._scan, *args)
+            report = await loop.run_in_executor(self._executor, self._scan, sources, names, metas)
         except Exception as error:
             if len(batch) > 1:
                 # One script that breaks the scan must not fail its

@@ -65,7 +65,7 @@ from repro.obs import (
 )
 from repro.pipeline import content_key
 
-from .api import V1_PREFIX
+from .api import V1_PREFIX, parse_batch_scripts
 from .hashring import HashRing
 from .http import MAX_BODY_BYTES, ProtocolError, Request, Response, fetch, render_response
 from .service import RETRY_AFTER_S, Handler, HTTPService
@@ -477,19 +477,10 @@ class ScanRouter(HTTPService):
 
     async def _handle_scan_batch(self, request: Request) -> tuple[int, bytes]:
         payload = request.json()
-        scripts = payload.get("scripts")
-        if not isinstance(scripts, list) or not scripts:
-            raise ProtocolError(400, '"scripts" must be a non-empty array')
-        sources: list[str] = []
-        for index, entry in enumerate(scripts):
-            if isinstance(entry, str):
-                sources.append(entry)
-            elif isinstance(entry, dict) and isinstance(entry.get("source"), str):
-                sources.append(entry["source"])
-            else:
-                raise ProtocolError(
-                    400, f'scripts[{index}] must be a string or an object with a "source" string'
-                )
+        # Parsed before the fan-out, so a 400 names the caller's index,
+        # not one within a shard's sub-batch.
+        sources = [source for source, _name in parse_batch_scripts(payload)]
+        scripts = payload["scripts"]
 
         root = self.tracer.start_trace(
             "router.scan_batch",

@@ -375,9 +375,7 @@ class TestWitnessSuppression:
         )
         normalized, norm = Deobfuscator().normalize(raw)
         assert norm.changed and "//" not in normalized  # the comment is gone
-        report = Analyzer().analyze(
-            normalized, line_map=norm.line_map, raw_source=raw
-        )
+        report = Analyzer().analyze(normalized, norm=norm, raw_source=raw)
         assert not any(f.rule_id == "decode-chain" for f in report.findings)
         assert not report.decisive  # refolded over the survivors
         assert {"rule_id": "decode-chain", "line": 2} in report.suppressed_at
@@ -390,8 +388,29 @@ class TestWitnessSuppression:
             "eval(p); // repro-ignore: decode-chain\n"
         )
         normalized, norm = Deobfuscator().normalize(raw)
-        report = Analyzer().analyze(normalized, line_map=norm.line_map)
+        report = Analyzer().analyze(normalized, norm=norm)
         assert any(f.rule_id == "decode-chain" and f.decisive for f in report.findings)
+
+    def test_map_back_keys_on_changed_alone(self):
+        # The one map-back rule is ``norm.changed``: a report whose text
+        # the normalizer left alone keeps its spans whatever its line map
+        # holds, and a changed one is mapped back.
+        from repro.analysis import map_to_submitted
+        from repro.deobfuscate import Deobfuscator, NormalizationReport
+
+        raw = (
+            'var p = window["at" + "ob"](x);\n'
+            "eval(p); // repro-ignore: decode-chain\n"
+        )
+        normalized, norm = Deobfuscator().normalize(raw)
+        assert norm.changed and norm.line_map
+        unchanged = NormalizationReport(changed=False, line_map=dict(norm.line_map))
+        report = Analyzer().analyze(normalized, norm=unchanged, raw_source=raw)
+        assert any(f.rule_id == "decode-chain" for f in report.findings)
+        assert all(f.raw_line is None for f in report.findings)
+        map_to_submitted(report, norm, raw)
+        assert not any(f.rule_id == "decode-chain" for f in report.findings)
+        assert all(f.raw_line is not None for f in report.findings)
 
 
 # ------------------------------------------------------------ degradation

@@ -12,7 +12,7 @@ died.
 import pytest
 
 from repro.faults import ScanLimits
-from repro.obs import Tracer, span_tree
+from repro.obs import span_tree
 from repro.pipeline import BatchScanner
 
 HANG = "/* @repro-fault:hang */ var a = 1;"
@@ -33,9 +33,7 @@ def spans_named(trace, name):
 
 class TestIsolatedTracing:
     def test_worker_embed_spans_reparent_under_script_spans(self, detector, split):
-        scanner = BatchScanner(
-            detector, n_workers=2, limits=LIMITS, tracer=Tracer(sample_rate=1.0)
-        )
+        scanner = BatchScanner(detector, n_workers=2, limits=LIMITS)
         report = scanner.scan(split.test.sources[:4], trace=True)
         assert report.trace is not None
         assert all(result.status == "ok" for result in report.results)
@@ -51,9 +49,7 @@ class TestIsolatedTracing:
             assert result.trace["provenance"]["top_paths"]
 
     def test_all_spans_share_the_batch_trace_id(self, detector, split):
-        scanner = BatchScanner(
-            detector, n_workers=2, limits=LIMITS, tracer=Tracer(sample_rate=1.0)
-        )
+        scanner = BatchScanner(detector, n_workers=2, limits=LIMITS)
         report = scanner.scan(split.test.sources[:3], trace=True)
         trace_id = report.trace["trace_id"]
         # The report-level span list is flat (one entry per finished span).
@@ -61,9 +57,7 @@ class TestIsolatedTracing:
         assert any(span["name"] == "worker.embed" for span in report.trace["spans"])
 
     def test_killed_worker_gets_synthesized_terminal_span(self, detector, split, inject):
-        scanner = BatchScanner(
-            detector, n_workers=1, limits=LIMITS, tracer=Tracer(sample_rate=1.0)
-        )
+        scanner = BatchScanner(detector, n_workers=1, limits=LIMITS)
         report = scanner.scan([HANG, split.test.sources[0]], trace=True)
         hung = report.results[0]
         assert hung.status == "timeout"
@@ -83,9 +77,7 @@ class TestIsolatedTracing:
         assert spans_named(healthy.trace, "worker.embed")[0]["status"] == "ok"
 
     def test_batch_root_marks_error_when_faults_present(self, detector, split, inject):
-        scanner = BatchScanner(
-            detector, n_workers=1, limits=LIMITS, tracer=Tracer(sample_rate=1.0)
-        )
+        scanner = BatchScanner(detector, n_workers=1, limits=LIMITS)
         report = scanner.scan([HANG], trace=True)
         roots = span_tree(report.trace["spans"])
         assert roots[0]["name"] == "scan.batch"

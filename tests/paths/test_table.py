@@ -12,7 +12,6 @@ from repro.core import JSRevealer, JSRevealerConfig
 from repro.dataflow import build_enhanced_ast
 from repro.datasets import experiment_split
 from repro.jsparser import parse
-from repro.obs import Tracer
 from repro.paths import NODE_TYPES, PathContext, PathFeaturizer, PathTable, extract_paths
 from repro.pipeline import BatchScanner
 
@@ -124,7 +123,7 @@ class TestContextsOnDemand:
         assert built[0] == 0
 
     def test_traced_scan_builds_only_reported_paths(self, detector, script, built):
-        scanner = BatchScanner(detector, n_workers=1, tracer=Tracer(sample_rate=1.0))
+        scanner = BatchScanner(detector, n_workers=1)
         report = scanner.scan([script, script + "\nvar tail = 1;"], trace=True)
         top_paths = [result.trace["provenance"]["top_paths"] for result in report.results]
         assert [len(paths) for paths in top_paths] == [5, 5]

@@ -14,7 +14,6 @@ import pytest
 from repro.analysis import Analyzer
 from repro.core import JSRevealer, JSRevealerConfig
 from repro.datasets import experiment_split
-from repro.deobfuscate import Deobfuscator
 from repro.pipeline import BatchScanner
 
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
@@ -38,13 +37,8 @@ def detector():
 
 
 def scan_one(detector, source, deobfuscate=True, **kwargs):
-    scanner = BatchScanner(
-        detector,
-        triage=Analyzer(),
-        deobfuscate=Deobfuscator() if deobfuscate else None,
-        **kwargs,
-    )
-    return scanner.scan([source], names=["t.js"]).results[0]
+    scanner = BatchScanner(detector, triage=Analyzer(), **kwargs)
+    return scanner.scan([source], names=["t.js"], deobfuscate=deobfuscate).results[0]
 
 
 class TestAnalysisSeesNormalizedText:
@@ -102,15 +96,10 @@ class TestAnalysisSeesNormalizedText:
 
 class TestProvenanceCarriesWitness:
     def test_provenance_rules_include_witness_and_spans(self, detector):
-        from repro.obs import Tracer
-
-        scanner = BatchScanner(
-            detector,
-            triage=Analyzer(),
-            deobfuscate=Deobfuscator(),
-            tracer=Tracer(sample_rate=1.0),
-        )
-        result = scanner.scan([OBFUSCATED_CHAIN], names=["t.js"], trace=True).results[0]
+        scanner = BatchScanner(detector, triage=Analyzer())
+        result = scanner.scan(
+            [OBFUSCATED_CHAIN], names=["t.js"], trace=True, deobfuscate=True
+        ).results[0]
         provenance = result.trace["provenance"]
         flow_entries = [
             entry for entry in provenance["rules"] if entry.get("witness")

@@ -12,8 +12,6 @@ import pytest
 
 from repro.core import JSRevealer, JSRevealerConfig
 from repro.datasets import experiment_split
-from repro.deobfuscate import Deobfuscator
-from repro.obs import Tracer
 from repro.pipeline import BatchScanner, FeatureCache
 
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
@@ -49,24 +47,20 @@ def detector(split):
 class TestCleanByteIdentity:
     def test_clean_verdicts_identical_with_pass_enabled(self, detector):
         plain = BatchScanner(detector).scan([CLEAN], names=["clean.js"])
-        passed = BatchScanner(detector, deobfuscate=Deobfuscator()).scan(
-            [CLEAN], names=["clean.js"]
-        )
+        passed = BatchScanner(detector).scan([CLEAN], names=["clean.js"], deobfuscate=True)
         a = strip_timings(plain.results[0].to_dict())
         b = strip_timings(passed.results[0].to_dict())
         assert a == b
         assert passed.results[0].normalization is None
 
     def test_clean_report_has_no_deobfuscate_stage_time(self, detector):
-        passed = BatchScanner(detector, deobfuscate=Deobfuscator()).scan([CLEAN])
+        passed = BatchScanner(detector).scan([CLEAN], deobfuscate=True)
         assert "deobfuscate" not in passed.results[0].stage_ms
 
 
 class TestObfuscatedAnnotations:
     def test_normalization_attached_to_result(self, detector):
-        report = BatchScanner(detector, deobfuscate=Deobfuscator()).scan(
-            [OBFUSCATED], names=["obf.js"]
-        )
+        report = BatchScanner(detector).scan([OBFUSCATED], names=["obf.js"], deobfuscate=True)
         norm = report.results[0].normalization
         assert norm is not None
         assert norm["changed"] is True
@@ -74,7 +68,7 @@ class TestObfuscatedAnnotations:
         assert report.results[0].to_dict()["normalization"] == norm
 
     def test_batch_stage_totals_include_deobfuscate(self, detector):
-        report = BatchScanner(detector, deobfuscate=Deobfuscator()).scan([OBFUSCATED, CLEAN])
+        report = BatchScanner(detector).scan([OBFUSCATED, CLEAN], deobfuscate=True)
         assert "deobfuscate" in report.stage_ms
 
     def test_pass_off_results_carry_no_normalization(self, detector):
@@ -87,20 +81,42 @@ class TestObfuscatedAnnotations:
         spellings of one payload share a cache entry."""
         variant_a = 'var u = "h" + "i";\nfetch(u);\n'
         variant_b = 'var u = "\\x68\\x69";\nfetch(u);\n'
-        scanner = BatchScanner(
-            detector, cache=FeatureCache(detector.fingerprint()), deobfuscate=Deobfuscator()
-        )
-        first = scanner.scan([variant_a])
-        second = scanner.scan([variant_b])
+        scanner = BatchScanner(detector, cache=FeatureCache(detector.fingerprint()))
+        first = scanner.scan([variant_a], deobfuscate=True)
+        second = scanner.scan([variant_b], deobfuscate=True)
         assert first.results[0].probability == second.results[0].probability
         assert second.results[0].cache_hit
 
 
+class TestPerScriptFlags:
+    def test_mixed_flags_match_uniform_scans(self, detector):
+        # The same obfuscated text both flagged and unflagged: only the
+        # flagged copy is normalized, so the two never dedup together.
+        sources = [OBFUSCATED, CLEAN, OBFUSCATED, CLEAN]
+        names = ["obf-on.js", "clean-off.js", "obf-off.js", "clean-on.js"]
+        flags = [True, False, False, True]
+        mixed = BatchScanner(detector).scan(sources, names=names, deobfuscate=flags)
+        flagged = BatchScanner(detector).scan(sources, names=names, deobfuscate=True)
+        unflagged = BatchScanner(detector).scan(sources, names=names)
+        for result, flag, on, off in zip(mixed.results, flags, flagged.results, unflagged.results):
+            expected = on if flag else off
+            assert strip_timings(result.to_dict()) == strip_timings(expected.to_dict()), result.path
+            assert list(result.stage_ms) == list(expected.stage_ms), result.path
+        assert mixed.results[0].normalization is not None
+        assert mixed.results[2].normalization is None
+        assert "deobfuscate" in mixed.stage_ms
+        none_flagged = BatchScanner(detector).scan(sources, names=names, deobfuscate=[False] * 4)
+        assert "deobfuscate" not in none_flagged.stage_ms
+
+    def test_flag_count_must_match_sources(self, detector):
+        with pytest.raises(ValueError, match="deobfuscate"):
+            BatchScanner(detector).scan([CLEAN, CLEAN], deobfuscate=[True])
+
+
 class TestTracedScan:
     def test_deobfuscate_span_and_provenance(self, detector):
-        tracer = Tracer(sample_rate=1.0)
-        report = BatchScanner(detector, tracer=tracer, deobfuscate=Deobfuscator()).scan(
-            [OBFUSCATED], names=["obf.js"]
+        report = BatchScanner(detector).scan(
+            [OBFUSCATED], names=["obf.js"], trace=True, deobfuscate=True
         )
         trace = report.results[0].trace
         assert trace is not None
@@ -109,7 +125,7 @@ class TestTracedScan:
     def test_degraded_normalization_marks_span_error(self, detector, monkeypatch):
         monkeypatch.setenv("REPRO_FAULT_INJECT", "1")
         source = '/* @repro-fault:raise@deobfuscate */\nvar u = "h" + "i";\n'
-        report = BatchScanner(detector, deobfuscate=Deobfuscator()).scan([source])
+        report = BatchScanner(detector).scan([source], deobfuscate=True)
         norm = report.results[0].normalization
         assert norm is not None
         assert norm["degraded"] is True

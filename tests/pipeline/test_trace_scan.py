@@ -14,7 +14,7 @@ import pytest
 from repro.core import JSRevealer, JSRevealerConfig
 from repro.datasets import experiment_split
 from repro.analysis import Analyzer
-from repro.obs import Tracer, span_tree
+from repro.obs import span_tree
 from repro.pipeline import BatchScanner, FeatureCache
 
 
@@ -37,7 +37,7 @@ def span_names(spans):
 
 class TestTracedScan:
     def test_sequential_scan_emits_stage_and_script_spans(self, detector, split):
-        scanner = BatchScanner(detector, tracer=Tracer(sample_rate=1.0))
+        scanner = BatchScanner(detector)
         report = scanner.scan(split.test.sources[:3], trace=True)
         assert report.trace is not None
         names = span_names(report.trace["spans"])
@@ -49,7 +49,7 @@ class TestTracedScan:
         assert roots[0]["attributes"]["n_scripts"] == 3
 
     def test_every_result_carries_trace_and_provenance(self, detector, split):
-        scanner = BatchScanner(detector, tracer=Tracer(sample_rate=1.0))
+        scanner = BatchScanner(detector)
         report = scanner.scan(split.test.sources[:3], trace=True)
         for result in report.results:
             assert result.trace is not None
@@ -66,7 +66,7 @@ class TestTracedScan:
             assert result.trace["spans"][0]["name"] == "script"
 
     def test_parallel_scan_traces_identically_named_stages(self, detector, split):
-        with BatchScanner(detector, n_workers=2, tracer=Tracer(sample_rate=1.0)) as scanner:
+        with BatchScanner(detector, n_workers=2) as scanner:
             report = scanner.scan(split.test.sources[:4], trace=True)
         names = span_names(report.trace["spans"])
         assert {"scan.batch", "script", "path_extraction", "embedding", "worker.embed"} <= names
@@ -84,18 +84,20 @@ class TestTracedScan:
     def test_verdicts_unchanged_by_tracing(self, detector, split):
         sources = split.test.sources[:4]
         plain = BatchScanner(detector).scan(sources)
-        traced = BatchScanner(detector, tracer=Tracer(sample_rate=1.0)).scan(sources, trace=True)
+        traced = BatchScanner(detector).scan(sources, trace=True)
         assert np.array_equal(plain.label_array, traced.label_array)
         assert np.array_equal(plain.probability_matrix, traced.probability_matrix)
 
     def test_untraced_output_has_no_trace_keys(self, detector, split):
         # Byte-identical contract: tracing must be invisible when off —
-        # a scanner *with* a tracer but an unsampled/untraced call included.
+        # a scanner that traced an earlier call included.
         sources = split.test.sources[:2]
         baseline = BatchScanner(detector).scan(sources).to_json()
-        with_tracer = BatchScanner(detector, tracer=Tracer(sample_rate=0.0)).scan(sources)
-        assert "\"trace\"" not in with_tracer.to_json()
-        for result in with_tracer.results:
+        scanner = BatchScanner(detector)
+        scanner.scan(sources, trace=True)
+        untraced = scanner.scan(sources, trace=False)
+        assert "\"trace\"" not in untraced.to_json()
+        for result in untraced.results:
             assert "trace" not in result.to_dict()
         def strip(report_dict):
             # Wall-clock timings legitimately differ between runs; every
@@ -106,15 +108,15 @@ class TestTracedScan:
             ]
             return out
 
-        assert strip(json.loads(with_tracer.to_json())) == strip(json.loads(baseline))
+        assert strip(json.loads(untraced.to_json())) == strip(json.loads(baseline))
 
     def test_trace_flag_false_overrides_tracer(self, detector, split):
-        scanner = BatchScanner(detector, tracer=Tracer(sample_rate=1.0))
+        scanner = BatchScanner(detector)
         report = scanner.scan(split.test.sources[:2], trace=False)
         assert report.trace is None
 
     def test_triage_decisive_hit_traced_with_rule_provenance(self, detector, split):
-        scanner = BatchScanner(detector, triage=Analyzer(), tracer=Tracer(sample_rate=1.0))
+        scanner = BatchScanner(detector, triage=Analyzer())
         decisive = "var h = unescape('%61%62');\neval(h);\n"
         report = scanner.scan([decisive, split.test.sources[0]], trace=True)
         result = report.results[0]
@@ -127,10 +129,9 @@ class TestTracedScan:
 
     def test_cache_hit_event_and_no_embed_spans_on_warm_scan(self, detector, split, tmp_path):
         sources = split.test.sources[:2]
-        tracer = Tracer(sample_rate=1.0)
         cache = FeatureCache(detector.fingerprint(), cache_dir=tmp_path)
-        BatchScanner(detector, cache=cache, tracer=tracer).scan(sources, trace=True)
-        warm = BatchScanner(detector, cache=cache, tracer=tracer).scan(sources, trace=True)
+        BatchScanner(detector, cache=cache).scan(sources, trace=True)
+        warm = BatchScanner(detector, cache=cache).scan(sources, trace=True)
         assert all(result.cache_hit for result in warm.results)
         events = [e["name"] for s in warm.trace["spans"] for e in s.get("events", [])]
         assert "cache_hit" in events and "cache_miss" not in events

@@ -18,7 +18,7 @@ from repro.pipeline import ScanReport, ScanResult
 from repro.serve.batching import Draining, MicroBatcher, QueueFull
 
 
-def fake_scan(sources, names):
+def fake_scan(sources, names, metas):
     """Deterministic stand-in for BatchScanner.scan."""
     results = [
         ScanResult(
@@ -52,11 +52,11 @@ class RecordingScan:
             self.release.set()
         self.seen: list[list[str]] = []
 
-    def __call__(self, sources, names):
+    def __call__(self, sources, names, metas):
         self.seen.append(list(names))
         if len(self.seen) == 1:
             self.release.wait(timeout=10)
-        return fake_scan(sources, names)
+        return fake_scan(sources, names, metas)
 
 
 async def turns_until(condition, limit: int = 100) -> int:
@@ -85,7 +85,7 @@ class TestCoalescing:
                 batcher.start()
                 resolved = await asyncio.gather(*futures)
                 await batcher.drain()
-                return batcher.batch_sizes, resolved
+                return list(batcher.batch_sizes), resolved
 
         batch_sizes, resolved = run(go())
         assert batch_sizes == [4, 4]
@@ -99,12 +99,12 @@ class TestCoalescing:
                 batcher = MicroBatcher(gate, executor=executor, max_batch=10, queue_limit=64)
                 batcher.start()
                 first = batcher.submit("a", "first")
-                await turns_until(lambda: batcher.batch_sizes == [1])
+                await turns_until(lambda: list(batcher.batch_sizes) == [1])
                 late = [batcher.submit("bb", "x"), batcher.submit("ccc", "y")]
                 gate.release.set()
                 await asyncio.gather(first, *late)
                 await batcher.drain()
-                return batcher.batch_sizes
+                return list(batcher.batch_sizes)
 
         # The two late arrivals go out together the moment the scanner is
         # free, without waiting to reach max_batch.
@@ -118,7 +118,7 @@ class TestCoalescing:
                 await asyncio.sleep(0)  # the flush loop now awaits the queue
                 started = time.perf_counter()
                 future = batcher.submit("a", "lone")
-                turns = await turns_until(lambda: batcher.batch_sizes == [1])
+                turns = await turns_until(lambda: list(batcher.batch_sizes) == [1])
                 elapsed = time.perf_counter() - started
                 result, _ = await future
                 await batcher.drain()
@@ -138,12 +138,12 @@ class TestCoalescing:
                 batcher = MicroBatcher(gate, executor=executor, max_batch=4, queue_limit=64)
                 batcher.start()
                 first = batcher.submit("a", "first")
-                await turns_until(lambda: batcher.batch_sizes == [1])
+                await turns_until(lambda: list(batcher.batch_sizes) == [1])
                 late = [batcher.submit("s" * i, f"n{i}") for i in range(5)]
                 gate.release.set()
                 resolved = await asyncio.gather(first, *late)
                 await batcher.drain()
-                return batcher.batch_sizes, gate.seen, [r.path for r, _ in resolved]
+                return list(batcher.batch_sizes), gate.seen, [r.path for r, _ in resolved]
 
         batch_sizes, seen, paths = run(go())
         assert batch_sizes == [1, 4, 1]
@@ -232,9 +232,9 @@ class TestDrain:
     def test_drain_waits_for_slow_scan(self):
         release = threading.Event()
 
-        def slow_scan(sources, names):
+        def slow_scan(sources, names, metas):
             release.wait(timeout=10)
-            return fake_scan(sources, names)
+            return fake_scan(sources, names, metas)
 
         async def go():
             with ThreadPoolExecutor(max_workers=1) as executor:
@@ -249,6 +249,24 @@ class TestDrain:
                 return time.perf_counter() - started
 
         assert run(go()) >= 0.04  # drain blocked until the scan finished
+
+
+class TestBatchSizeHistory:
+    def test_only_the_most_recent_sizes_are_kept(self):
+        async def go():
+            with ThreadPoolExecutor(max_workers=1) as executor:
+                batcher = make_batcher(executor, max_batch=4, queue_limit=100_000)
+                history = batcher.batch_sizes.maxlen
+                # All admitted before the flush loop starts: `history` full
+                # batches, then one batch of a single item.
+                futures = [batcher.submit("s", f"n{i}") for i in range(4 * history + 1)]
+                batcher.start()
+                await asyncio.gather(*futures)
+                await batcher.drain()
+                return history, list(batcher.batch_sizes)
+
+        history, sizes = run(go())
+        assert sizes == [4] * (history - 1) + [1]
 
 
 class TestAbandonedWaiters:
@@ -266,7 +284,7 @@ class TestAbandonedWaiters:
                 depth = batcher.queue_depth
                 await batcher.drain()
             gauge = registry.get("repro_serve_queue_depth").value
-            return [r.path for r, _ in resolved], depth, gauge, batcher.batch_sizes
+            return [r.path for r, _ in resolved], depth, gauge, list(batcher.batch_sizes)
 
         paths, depth, gauge, batch_sizes = run(go())
         assert scan.seen == [["a", "c"]]
@@ -285,7 +303,7 @@ class TestAbandonedWaiters:
                 live = batcher.submit("x", "live")
                 await live
                 await batcher.drain()
-                return batcher.queue_depth, batcher.batch_sizes
+                return batcher.queue_depth, list(batcher.batch_sizes)
 
         depth, batch_sizes = run(go())
         assert scan.seen == [["live"]]
@@ -295,7 +313,7 @@ class TestAbandonedWaiters:
 
 class TestFailures:
     def test_scan_exception_propagates_to_futures(self):
-        def broken_scan(sources, names):
+        def broken_scan(sources, names, metas):
             raise RuntimeError("engine on fire")
 
         async def go():
@@ -312,11 +330,11 @@ class TestFailures:
     def test_one_failing_script_fails_only_itself(self):
         seen: list[list[str]] = []
 
-        def scan(sources, names):
+        def scan(sources, names, metas):
             seen.append(list(names))
             if "poison" in sources:
                 raise RuntimeError("poison")
-            return fake_scan(sources, names)
+            return fake_scan(sources, names, metas)
 
         async def go():
             with ThreadPoolExecutor(max_workers=1) as executor:
@@ -326,7 +344,7 @@ class TestFailures:
                 futures = [batcher.submit(source, f"s{i}") for i, source in enumerate(sources)]
                 outcomes = await asyncio.gather(*futures, return_exceptions=True)
                 await batcher.drain()
-                return outcomes, batcher.batch_sizes
+                return outcomes, list(batcher.batch_sizes)
 
         outcomes, batch_sizes = run(go())
         # One micro-batch of four; it raised, so each script was scanned alone.

@@ -200,7 +200,7 @@ class TestConcurrency:
             original = batcher._scan
             first_batch: list[int] = []
 
-            def gated(sources, names, metas=None):
+            def gated(sources, names, metas):
                 # The first batch holds the scanner until every client's
                 # request is admitted, so what queues behind it is exact.
                 if not first_batch:
@@ -236,7 +236,7 @@ class TestConcurrency:
             gate = threading.Event()
             original = background.server.batcher._scan
 
-            def gated(sources, names, metas=None):
+            def gated(sources, names, metas):
                 gate.wait(timeout=10)
                 return original(sources, names, metas)
 
@@ -253,7 +253,7 @@ class TestConcurrency:
             deadline = time.time() + 10
             while not background.server.batcher.batch_sizes and time.time() < deadline:
                 time.sleep(0.01)  # batch 1 is now blocked inside the gated scan
-            assert background.server.batcher.batch_sizes == [1]
+            assert list(background.server.batcher.batch_sizes) == [1]
             second = threading.Thread(target=client, args=("second",))
             second.start()
             deadline = time.time() + 10
@@ -279,7 +279,7 @@ class TestConcurrency:
         try:
             original = background.server.batcher._scan
 
-            def slow(sources, names, metas=None):
+            def slow(sources, names, metas):
                 time.sleep(0.3)
                 return original(sources, names, metas)
 
@@ -309,7 +309,7 @@ class TestConcurrency:
             gate = threading.Event()
             original = background.server.batcher._scan
 
-            def gated(sources, names, metas=None):
+            def gated(sources, names, metas):
                 gate.wait(timeout=10)
                 return original(sources, names, metas)
 

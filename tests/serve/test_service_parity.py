@@ -110,6 +110,17 @@ def test_daemon_and_router_answer_alike(daemon, router):
         assert lines and all(line.startswith("#") for line in lines), body
 
 
+def test_batch_body_errors_name_the_callers_index(daemon, router):
+    """Both services parse a batch with one function, the router before
+    it fans out: a bad entry is named by its index in the caller's array."""
+    scripts = [f"var s{i} = {i};" for i in range(7)] + [{"source": "var t = 7;", "name": 7}]
+    body = json.dumps({"scripts": scripts})
+    for background in (daemon, router):
+        status, _headers, data = call(background, "POST", "/v1/scan/batch", body)
+        assert status == 400, (background.what, data)
+        assert json.loads(data)["error"]["message"] == "scripts[7].name must be a string"
+
+
 def series(background, family):
     _status, _headers, body = call(background, "GET", "/v1/metrics")
     return {
