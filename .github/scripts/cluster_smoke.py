@@ -10,7 +10,9 @@ exercised end to end:
 
 * the router aggregates a healthy fleet in ``/v1/healthz`` and reports
   its replica factor and verdict-cache state,
-* a scan through the router returns a well-formed verdict,
+* a scan through the router returns a well-formed verdict, and the
+  former v0 paths (``GET /healthz``, ``POST /scan``) answer a plain 404
+  envelope with no ``Deprecation`` header,
 * a traced request produces ONE merged trace spanning both processes
   (``router.scan`` + the shard's ``http.scan``, shard-annotated),
   written to ``--trace-out`` as a workflow artifact,
@@ -30,6 +32,7 @@ exercised end to end:
 Exits non-zero (with the failure printed) on any violation.
 """
 
+import http.client
 import json
 import os
 import pathlib
@@ -58,6 +61,24 @@ def wait_up(client, timeout_s=120.0):
         if time.time() > deadline:
             raise SystemExit(f"cluster did not come up within {timeout_s:.0f}s")
         time.sleep(0.5)
+
+
+def former_aliases_gone(client):
+    """The unprefixed v0 paths are plain 404 envelopes with no deprecation
+    headers, and no deprecation counter is exposed."""
+    for method, path, body in (("GET", "/healthz", None), ("POST", "/scan", b'{"source": "1;"}')):
+        connection = http.client.HTTPConnection(client.host, client.port, timeout=30)
+        headers = {"Content-Type": "application/json"} if body else {}
+        connection.request(method, path, body=body, headers=headers)
+        response = connection.getresponse()
+        raw = response.read()
+        connection.close()
+        assert response.status == 404, (method, path, response.status, raw)
+        assert response.getheader("Deprecation") is None, (method, path)
+        envelope = json.loads(raw)
+        assert envelope["api_version"] == "v1" and envelope["error"]["code"] == "not_found", envelope
+    assert "repro_http_deprecated_requests_total" not in client.metrics_text()
+    print("former v0 aliases: plain 404 envelopes, no deprecation headers or counter")
 
 
 def trace_check(client, source, out_path):
@@ -217,6 +238,7 @@ def main(base_url, script_path, extra):
     assert "repro_router_forwarded_total" in text, text[:400]
     assert "repro_http_requests_total" in text, text[:400]
     print("metrics: ok ({} lines)".format(len(text.splitlines())))
+    former_aliases_gone(client)
 
     if "--trace-out" in extra:
         trace_check(client, source, extra[extra.index("--trace-out") + 1])

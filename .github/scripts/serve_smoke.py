@@ -7,7 +7,9 @@ Speaks the v1 API through :class:`repro.client.ScanClient` — the same
 typed client the load generator and cluster smoke use — so the smoke
 exercises exactly the surface real callers integrate against.  Waits for
 the daemon to come up, POSTs the script, and asserts a well-formed
-verdict plus a healthy /v1/healthz and a non-empty /v1/metrics.
+verdict plus a healthy /v1/healthz and a non-empty /v1/metrics, and that
+the former v0 paths (``GET /healthz``, ``POST /scan``) answer a plain
+404 envelope with no ``Deprecation`` header.
 With ``--trace-out``, additionally POSTs with a fixed W3C ``traceparent``,
 asserts the id rides end-to-end and that the stored trace at
 ``/v1/debug/traces/<id>`` contains every pipeline leaf stage, and writes
@@ -27,6 +29,7 @@ timing) and stage keys.
 Exits non-zero (with the failure printed) on any violation.
 """
 
+import http.client
 import json
 import pathlib
 import sys
@@ -50,6 +53,24 @@ def wait_up(client, timeout_s=60.0):
             if time.time() > deadline:
                 raise SystemExit(f"daemon did not come up within {timeout_s:.0f}s")
             time.sleep(0.5)
+
+
+def former_aliases_gone(client):
+    """The unprefixed v0 paths are plain 404 envelopes with no deprecation
+    headers, and no deprecation counter is exposed."""
+    for method, path, body in (("GET", "/healthz", None), ("POST", "/scan", b'{"source": "1;"}')):
+        connection = http.client.HTTPConnection(client.host, client.port, timeout=30)
+        headers = {"Content-Type": "application/json"} if body else {}
+        connection.request(method, path, body=body, headers=headers)
+        response = connection.getresponse()
+        raw = response.read()
+        connection.close()
+        assert response.status == 404, (method, path, response.status, raw)
+        assert response.getheader("Deprecation") is None, (method, path)
+        envelope = json.loads(raw)
+        assert envelope["api_version"] == "v1" and envelope["error"]["code"] == "not_found", envelope
+    assert "repro_http_deprecated_requests_total" not in client.metrics_text()
+    print("former v0 aliases: plain 404 envelopes, no deprecation headers or counter")
 
 
 def trace_check(client, source, out_path):
@@ -168,6 +189,7 @@ def main(base_url, script_path, extra):
     assert "repro_http_requests_total" in text, text[:400]
     assert "repro_serve_batches_total" in text, text[:400]
     print("metrics: ok ({} lines)".format(len(text.splitlines())))
+    former_aliases_gone(client)
 
     if "--trace-out" in extra:
         trace_check(client, source, extra[extra.index("--trace-out") + 1])

@@ -41,11 +41,9 @@ percentiles, with ``--format json`` for machine consumers (see
 DESIGN.md §15).
 
 Duration flags follow one unit-suffixed convention (``--timeout-s``,
-``--request-timeout-s``, ``--breaker-reset-s``, ``--trace-slow-ms``);
-pre-rename spellings remain as hidden deprecated aliases that warn on
-stderr.  ``serve``/``cluster`` still accept ``--max-wait-ms`` so old
-invocations boot, but ignore it with a warning: micro-batches dispatch as
-soon as the scanner is idle.
+``--request-timeout-s``, ``--breaker-reset-s``, ``--trace-slow-ms``).
+Micro-batches dispatch as soon as the scanner is idle, so there is no
+batching-delay flag.
 
 ``scan``/``analyze``/``serve`` accept ``--log-level``/``--log-format``
 (structured JSON logs carry ``trace_id``/``span_id`` fields).  ``scan
@@ -53,7 +51,7 @@ soon as the scanner is idle.
 paths, decisive rules, cluster feature weights) per file; ``explain
 --trace FILE…`` prints the provenance alone.  ``serve`` samples traces
 at ``--trace-sample-rate`` and retains them in a ring buffer behind
-``GET /debug/traces`` (an inbound sampled ``traceparent`` always wins).
+``GET /v1/debug/traces`` (an inbound sampled ``traceparent`` always wins).
 
 Exit codes — the ``scan``/``analyze`` contract scripts rely on
 (``grep``-style):
@@ -314,52 +312,24 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 1 if failing else 0
 
 
-class _DeprecatedAlias(argparse.Action):
-    """Hidden back-compat spelling of a renamed flag.
-
-    Stores into the canonical dest and warns once on stderr, so old
-    invocations keep working while the help text shows only the
-    unit-suffixed convention (``--request-timeout-s``, ``--timeout-s``,
-    ``--trace-slow-ms``, …).
-    """
-
-    def __init__(self, option_strings, dest, successor: str = "", **kwargs):
-        kwargs["help"] = argparse.SUPPRESS
-        self.successor = successor
-        super().__init__(option_strings, dest, **kwargs)
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        print(
-            f"warning: {option_string} is deprecated; use {self.successor}",
-            file=sys.stderr,
-        )
-        setattr(namespace, self.dest, values)
-
-
-class _IgnoredFlag(argparse.Action):
-    """Hidden flag of a removed knob: it still parses, so old invocations
-    keep booting, but its value is dropped with one stderr warning."""
-
-    def __init__(self, option_strings, dest, reason: str = "", **kwargs):
-        kwargs.update(help=argparse.SUPPRESS, default=argparse.SUPPRESS)
-        self.reason = reason
-        super().__init__(option_strings, argparse.SUPPRESS, **kwargs)
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        print(f"warning: {option_string} is ignored; {self.reason}", file=sys.stderr)
-
-
-_MAX_WAIT_IGNORED = "micro-batches now dispatch as soon as the scanner is idle"
+#: ``repro serve`` flags a shard inherits from the command that booted
+#: the cluster, when that command accepted them (``cluster`` accepts the
+#: first five, ``serve --shards N`` all of them).  ``--host``, ``--port``
+#: and ``--cache-dir`` come from the supervisor instead.
+_SHARD_FLAGS = (
+    "--workers", "--max-batch", "--queue-limit", "--threshold", "--request-timeout-s",
+    "--timeout-s", "--max-rss-mb", "--quarantine-dir", "--breaker-threshold",
+    "--breaker-reset-s", "--max-body-bytes", "--trace-capacity", "--trace-slow-ms",
+)
 
 
 def _shard_flags(args: argparse.Namespace) -> list[str]:
     """``repro serve`` flags every shard of a cluster is spawned with."""
-    flags = [
-        "--workers", str(args.workers),
-        "--max-batch", str(args.max_batch),
-        "--queue-limit", str(args.queue_limit),
-        "--threshold", str(args.threshold),
-    ]
+    flags = []
+    for flag in _SHARD_FLAGS:
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if value is not None:
+            flags += [flag, str(value)]
     if getattr(args, "deobfuscate", False):
         flags.append("--deobfuscate")
     return flags
@@ -393,6 +363,9 @@ def _run_cluster(args: argparse.Namespace, n_shards: int) -> int:
                 # The router budget wraps a shard's own queueing budget and
                 # any retries, so it must not be the tighter of the two.
                 request_timeout_s=args.request_timeout_s + 10.0,
+                # `serve --shards N --max-body-bytes B`: the router refuses an
+                # oversized body itself instead of a shard cutting it off mid-forward.
+                max_body_bytes=getattr(args, "max_body_bytes", RouterConfig.max_body_bytes),
                 vnodes=getattr(args, "vnodes", 64),
                 trace_sample_rate=args.trace_sample_rate,
                 replicas=getattr(args, "replicas", 2),
@@ -699,7 +672,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser(
         "serve",
-        help="run the asyncio scan daemon (POST /scan, /scan/batch; GET /healthz, /version, /metrics)",
+        help="run the asyncio scan daemon (POST /v1/scan, /v1/scan/batch, /v1/analyze; "
+             "GET /v1/healthz, /v1/version, /v1/metrics)",
     )
     serve.add_argument("--model", required=True)
     serve.add_argument("--host", default="127.0.0.1")
@@ -709,7 +683,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="extraction/embedding worker processes behind the batcher")
     serve.add_argument("--max-batch", type=int, default=8,
                        help="most queued scripts dispatched in one micro-batch")
-    serve.add_argument("--max-wait-ms", type=float, action=_IgnoredFlag, reason=_MAX_WAIT_IGNORED)
     serve.add_argument("--queue-limit", type=int, default=64,
                        help="admission bound; beyond it requests get 429 + Retry-After")
     serve.add_argument("--cache-dir", default=None,
@@ -718,8 +691,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="default verdict threshold (overridable per request)")
     serve.add_argument("--request-timeout-s", type=float, default=30.0,
                        help="seconds before a queued request is answered 503")
-    serve.add_argument("--request-timeout", dest="request_timeout_s", type=float,
-                       action=_DeprecatedAlias, successor="--request-timeout-s")
     serve.add_argument("--shards", type=int, default=1,
                        help="run N supervised shard daemons behind a router "
                             "instead of one in-process daemon")
@@ -738,7 +709,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--trace-sample-rate", type=float, default=0.1,
                        help="fraction of requests traced (inbound sampled traceparent wins)")
     serve.add_argument("--trace-capacity", type=int, default=256,
-                       help="ring-buffer size behind GET /debug/traces")
+                       help="ring-buffer size behind GET /v1/debug/traces")
     serve.add_argument("--trace-slow-ms", type=float, default=250.0,
                        help="traces slower than this are retained preferentially")
     serve.add_argument("--deobfuscate", action="store_true",
@@ -765,7 +736,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="worker processes per shard")
     cluster.add_argument("--max-batch", type=int, default=8,
                          help="per-shard micro-batch size cap")
-    cluster.add_argument("--max-wait-ms", type=float, action=_IgnoredFlag, reason=_MAX_WAIT_IGNORED)
     cluster.add_argument("--queue-limit", type=int, default=64,
                          help="per-shard admission bound (429 beyond it)")
     cluster.add_argument("--threshold", type=float, default=0.5,
@@ -860,6 +830,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="scripts to explain (required with --trace)")
     explain.set_defaults(fn=_cmd_explain)
 
+    # Exact spellings only: a prefix such as ``--request-timeout`` must not
+    # stand in for ``--request-timeout-s`` as a second, undocumented name.
+    for command in sub.choices.values():
+        command.allow_abbrev = False
     return parser
 
 

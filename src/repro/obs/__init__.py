@@ -7,14 +7,14 @@ Public surface::
 
     registry = MetricsRegistry()
     requests = registry.counter("repro_http_requests_total", "HTTP requests",
-                                labels={"method": "POST", "path": "/scan"})
+                                labels={"method": "POST", "path": "/v1/scan"})
     requests.inc()
     print(registry.render())  # text/plain; version=0.0.4
 
     tracer = Tracer(sample_rate=0.1)
     with tracer.start_trace("scan.batch", force=True) as root:
-        with root.child("path_extraction"):
-            ...
+        stage = root.synthesize("path_extraction", elapsed_ms)
+        root.synthesize("featurize", featurize_ms, parent_id=stage["span_id"])
     # finished spans: repro.obs.trace.trace_spans(root)
 
 Fleet-plane surface (what the router's federation loop composes)::

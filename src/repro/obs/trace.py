@@ -10,9 +10,10 @@ per-request layer underneath that question:
   parsed from / rendered to the W3C ``traceparent`` header
   (``00-<trace_id>-<span_id>-<flags>``), so external callers can stitch
   our spans into their own traces,
-* :class:`Span` — one named, timed operation with attributes, point-in-time
-  events, and an ok/error status; spans nest via :meth:`Span.child` and a
-  finished trace is the flat list of its span dicts,
+* :class:`Span` — one named, timed operation with attributes and an
+  ok/error status; stages measured elsewhere nest under it via
+  :meth:`Span.synthesize` and a finished trace is the flat list of its
+  span dicts,
 * :class:`Tracer` — thread-safe factory with per-trace head sampling: the
   decision is made once at the root (inherited from the parent context
   when one is propagated) and unsampled traces cost a single no-op object,
@@ -112,9 +113,9 @@ class Span:
     """
 
     __slots__ = (
-        "name", "trace_id", "span_id", "parent_id", "attributes", "events",
-        "status", "status_detail", "start_unix", "_start_perf", "_buf",
-        "_tracer", "_is_root", "_ended", "sampled",
+        "name", "trace_id", "span_id", "parent_id", "attributes", "status",
+        "status_detail", "start_unix", "_start_perf", "_buf", "_tracer",
+        "_is_root", "_ended", "sampled",
     )
 
     def __init__(
@@ -131,7 +132,6 @@ class Span:
         self.span_id = new_span_id()
         self.parent_id = parent_id
         self.attributes: dict[str, Any] = dict(attributes or {})
-        self.events: list[dict] = []
         self.status = "ok"
         self.status_detail: str | None = None
         self.start_unix = time.time()
@@ -152,17 +152,8 @@ class Span:
     def context(self) -> SpanContext:
         return SpanContext(trace_id=self.trace_id, span_id=self.span_id, sampled=True)
 
-    def child(self, name: str, attributes: dict | None = None) -> "Span":
-        return Span(self._tracer, self._buf, name, parent_id=self.span_id, attributes=attributes)
-
     def set_attribute(self, key: str, value: Any) -> None:
         self.attributes[key] = value
-
-    def add_event(self, name: str, **attributes: Any) -> None:
-        self.events.append(
-            {"name": name, "offset_ms": round(1000.0 * (time.perf_counter() - self._start_perf), 3),
-             **({"attributes": attributes} if attributes else {})}
-        )
 
     def set_status(self, status: str, detail: str | None = None) -> None:
         self.status = status
@@ -227,7 +218,7 @@ class Span:
             "start_unix": round(self.start_unix, 6),
             "duration_ms": round(1000.0 * (time.perf_counter() - self._start_perf), 3),
             "attributes": dict(self.attributes),
-            "events": list(self.events),
+            "events": [],
             "status": self.status,
         }
         if self.status_detail is not None:
@@ -248,9 +239,9 @@ class NullSpan:
     """Unsampled stand-in: same surface as :class:`Span`, zero recording.
 
     Carries a real :class:`SpanContext` (so trace ids still propagate to
-    responses and downstream services) but every mutation is a no-op and
-    :meth:`child` returns ``self`` — an unsampled trace allocates exactly
-    one object no matter how many spans the sampled path would create.
+    responses and downstream services) but every mutation is a no-op — an
+    unsampled trace allocates exactly one object no matter how many spans
+    the sampled path would create.
     """
 
     __slots__ = ("_context",)
@@ -266,13 +257,7 @@ class NullSpan:
     def context(self) -> SpanContext:
         return self._context
 
-    def child(self, name: str, attributes: dict | None = None) -> "NullSpan":
-        return self
-
     def set_attribute(self, key: str, value: Any) -> None:
-        pass
-
-    def add_event(self, name: str, **attributes: Any) -> None:
         pass
 
     def set_status(self, status: str, detail: str | None = None) -> None:
@@ -386,31 +371,22 @@ def span_tree(spans: list[dict]) -> list[dict]:
 class TraceStore:
     """Bounded trace ring with slow-scan retention bias.
 
-    Retention policy, in order:
-
-    1. fast traces (root duration below ``slow_ms``) are admitted with
-       probability ``keep_rate`` (1.0 keeps everything),
-    2. at ``capacity``, the oldest *fast* trace is evicted first; only when
-       every resident trace is slow does the oldest slow one go,
-
-    so the traces most likely to matter for a latency investigation are
-    the last to disappear.  All operations are thread-safe; memory is
+    Every finished trace is admitted; at ``capacity`` the oldest *fast*
+    trace (root duration below ``slow_ms``) is evicted first, and only
+    when every resident trace is slow does the oldest slow one go — so
+    the traces most likely to matter for a latency investigation are the
+    last to disappear.  All operations are thread-safe; memory is
     bounded by ``capacity`` times the per-trace span cap.
     """
 
-    def __init__(self, capacity: int = 256, slow_ms: float = 250.0, keep_rate: float = 1.0):
+    def __init__(self, capacity: int = 256, slow_ms: float = 250.0):
         if capacity < 1:
             raise ValueError("capacity must be positive")
-        if not 0.0 <= keep_rate <= 1.0:
-            raise ValueError("keep_rate must be within [0, 1]")
         self.capacity = capacity
         self.slow_ms = slow_ms
-        self.keep_rate = keep_rate
         self._traces: OrderedDict[str, dict] = OrderedDict()  # insertion = age order
         self._lock = threading.Lock()
-        self._rng = random.Random()
         self.stored = 0
-        self.dropped = 0
         self.evicted = 0
 
     @staticmethod
@@ -427,10 +403,6 @@ class TraceStore:
         root = self._root_of(spans)
         duration_ms = float(root.get("duration_ms", 0.0)) if root else 0.0
         slow = duration_ms >= self.slow_ms
-        if not slow and self.keep_rate < 1.0 and self._rng.random() >= self.keep_rate:
-            with self._lock:
-                self.dropped += 1
-            return False
         record = {
             "trace_id": trace_id,
             "root": root["name"] if root else "<unknown>",

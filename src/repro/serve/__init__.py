@@ -16,11 +16,10 @@ Public surface::
     run_cluster(ClusterConfig(model_dir="model", n_shards=4))
 
 Every endpoint is mounted under ``/v1`` with one response envelope (see
-:mod:`repro.serve.api` and API.md); the unprefixed v0 paths remain as
-deprecation aliases.  The daemon and the router both run on
-:mod:`repro.serve.service` (connection loop, route table, rendering,
-request counters, ``/debug`` endpoints, and the signal and
-background-thread lifecycles).  See :mod:`repro.serve.app` for endpoint
+:mod:`repro.serve.api` and API.md); any other path is a 404.  The daemon
+and the router both run on :mod:`repro.serve.service` (connection loop,
+route table, rendering, request counters, ``/debug`` endpoints, and the
+signal and background-thread lifecycles).  See :mod:`repro.serve.app` for endpoint
 and backpressure semantics, :mod:`repro.serve.batching` for the
 micro-batching queue, :mod:`repro.serve.router` /
 :mod:`repro.serve.supervisor` / :mod:`repro.serve.cluster` for the

@@ -12,25 +12,20 @@ transport, the code is contract): clients branch on ``code``, humans read
 ``message``, and ``detail`` carries structured context (retry hints,
 breaker state) when there is any.  The one deliberate exception is
 ``GET /v1/metrics``: Prometheus exposition is a text format scraped by
-Prometheus itself, so it is served unwrapped on both prefixes.
+Prometheus itself, so it is served unwrapped.
 
-The unprefixed paths from the v0 daemon (``/scan``, ``/healthz``, …)
-remain as deprecation aliases: same handler, byte-identical legacy body,
-plus a ``Deprecation: true`` header, a ``Link: </v1/…>;
-rel="successor-version"`` pointer, and a
-``repro_http_deprecated_requests_total`` counter so operators can watch
-the old surface drain before it is removed.  See API.md for the full
-reference and the deprecation policy.
+A path outside ``/v1`` is an ordinary 404; the unprefixed v0 paths
+(``/scan``, ``/healthz``, …) are gone.  See API.md for the full
+reference.
 """
 
 from __future__ import annotations
 
 import json
 
-from .http import REASON_PHRASES, ProtocolError, error_response, render_response
+from .http import REASON_PHRASES, ProtocolError, render_response
 
-#: The one supported versioned prefix.  Bump by *adding* a prefix — v1
-#: aliases would then get the same deprecation treatment legacy has now.
+#: The one supported versioned prefix.
 API_VERSION = "v1"
 V1_PREFIX = "/v1"
 
@@ -46,33 +41,6 @@ ERROR_CODES = {
     500: "internal",
     503: "unavailable",
 }
-
-#: Legacy (unprefixed) request paths kept as deprecation aliases.  Any
-#: other unprefixed path is simply a 404, not a deprecated alias.
-LEGACY_ALIASES = ("/scan", "/scan/batch", "/analyze", "/healthz", "/version", "/metrics", "/debug/traces")
-
-
-def split_api_path(path: str) -> tuple[str, str]:
-    """``/v1/scan`` → ``("v1", "/scan")``; ``/scan`` → ``("legacy", "/scan")``."""
-    if path == V1_PREFIX or path.startswith(V1_PREFIX + "/"):
-        logical = path[len(V1_PREFIX) :] or "/"
-        return API_VERSION, logical
-    return "legacy", path
-
-
-def is_legacy_alias(logical_path: str) -> bool:
-    """Is this unprefixed path one of the deprecated v0 endpoints?"""
-    return any(
-        logical_path == alias or logical_path.startswith(alias + "/") for alias in LEGACY_ALIASES
-    )
-
-
-def deprecation_headers(logical_path: str) -> dict[str, str]:
-    """Headers advertising the successor of a legacy alias."""
-    return {
-        "Deprecation": "true",
-        "Link": f"<{V1_PREFIX}{logical_path}>; rel=\"successor-version\"",
-    }
 
 
 def error_code(status: int) -> str:
@@ -115,16 +83,6 @@ def v1_error_response(
     }
     body = json.dumps(envelope(error=error, trace_id=trace_id)).encode("utf-8")
     return render_response(status, body, extra_headers=extra_headers, keep_alive=keep_alive)
-
-
-def protocol_error_response(error: ProtocolError) -> bytes:
-    """Render a pre-routing :class:`ProtocolError` (e.g. an oversized body,
-    refused before it is read) on the surface the request line asked for:
-    the v1 envelope under ``/v1``, the legacy error object elsewhere."""
-    api, _ = split_api_path(error.path or "")
-    if api == API_VERSION:
-        return v1_error_response(error.status, error.message, keep_alive=False)
-    return error_response(error.status, error.message, keep_alive=False)
 
 
 def parse_batch_scripts(payload: dict) -> list[tuple[str, str]]:

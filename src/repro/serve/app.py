@@ -17,8 +17,8 @@ normalize → analyze → map-back sequence
 (:func:`~repro.analysis.normalize_and_analyze`) on the scanner's
 :class:`~repro.deobfuscate.Deobfuscator`.
 
-Endpoints (mounted under ``/v1``; see API.md for the envelope contract —
-the bare legacy paths remain as deprecation aliases)::
+Endpoints (mounted under ``/v1``, the only prefix; see API.md for the
+envelope contract)::
 
     POST /v1/scan        {"source": str, "name"?: str, "threshold"?: float,
                           "deobfuscate"?: bool}
@@ -42,7 +42,7 @@ the bare legacy paths remain as deprecation aliases)::
 
 Failure semantics (the backpressure contract):
 
-* malformed body / missing fields → **400** with ``{"error": {...}}``,
+* malformed body / missing fields → **400** error envelope,
 * body larger than ``max_body_bytes`` → **413** before the body is read,
 * queue at ``queue_limit`` → **429** with a ``Retry-After`` header,
 * request older than ``request_timeout_s`` or server draining → **503**,
@@ -110,7 +110,7 @@ class ServeConfig:
     trace_capacity: int = 256  # /debug/traces ring size
     trace_slow_ms: float = 250.0  # slow-scan retention threshold
     # Deobfuscation pre-pass default: requests may override per call with
-    # a boolean ``"deobfuscate"`` field on /scan and /scan/batch bodies.
+    # a boolean ``"deobfuscate"`` field on /v1/scan and /v1/scan/batch bodies.
     deobfuscate: bool = False
 
     def validate(self) -> None:

@@ -10,12 +10,12 @@ implements exactly that slice of RFC 9112:
 * hard limits on header block and body size (oversized input is a
   protocol error, not an allocation),
 * keep-alive by default (HTTP/1.1 semantics), ``Connection: close``
-  honored in both directions,
-* JSON helpers that render consistent ``{"error": {...}}`` objects for
-  every failure status.
+  honored in both directions.
 
 Anything malformed raises :class:`ProtocolError`, which carries the HTTP
-status the connection handler should answer with before closing.
+status the connection handler should answer with before closing.  The
+JSON bodies themselves (the v1 envelope) are rendered by
+:mod:`repro.serve.api`.
 """
 
 from __future__ import annotations
@@ -49,18 +49,12 @@ REASON_PHRASES = {
 
 
 class ProtocolError(Exception):
-    """Malformed or over-limit request; ``status`` is the HTTP answer.
+    """Malformed or over-limit request; ``status`` is the HTTP answer."""
 
-    ``path`` is the request target when the request line was parsed
-    before the failure (e.g. an oversized body) — the connection loop
-    uses it to answer on the API surface the client asked for.
-    """
-
-    def __init__(self, status: int, message: str, path: str | None = None):
+    def __init__(self, status: int, message: str):
         super().__init__(message)
         self.status = status
         self.message = message
-        self.path = path
 
 
 @dataclass
@@ -73,10 +67,6 @@ class Request:
     body: bytes = b""
     #: Decoded query-string parameters (last value wins on duplicates).
     query: dict[str, str] = field(default_factory=dict)
-    #: API surface the request arrived on: ``"v1"`` (the ``/v1`` prefix)
-    #: or ``"legacy"`` (unprefixed deprecation aliases).  Set by the
-    #: server's router after parsing; response rendering branches on it.
-    api: str = "legacy"
     #: Trace id of this request's *recorded* root span, set by the handler
     #: that opened it.  The connection loop reads it after routing so the
     #: request's latency observation carries an exemplar pointing at a
@@ -133,7 +123,6 @@ async def read_request(
     if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
         raise ProtocolError(400, f"malformed request line: {lines[0]!r}")
     method, target, _version = parts
-    request_path = target.partition("?")[0]
 
     headers: dict[str, str] = {}
     for line in lines[1:]:
@@ -141,7 +130,7 @@ async def read_request(
             continue
         name, sep, value = line.partition(":")
         if not sep or not name.strip():
-            raise ProtocolError(400, f"malformed header line: {line!r}", path=request_path)
+            raise ProtocolError(400, f"malformed header line: {line!r}")
         headers[name.strip().lower()] = value.strip()
 
     body = b""
@@ -149,16 +138,14 @@ async def read_request(
         try:
             length = int(headers["content-length"])
         except ValueError as error:
-            raise ProtocolError(400, "malformed Content-Length", path=request_path) from error
+            raise ProtocolError(400, "malformed Content-Length") from error
         if length < 0:
-            raise ProtocolError(400, "negative Content-Length", path=request_path)
+            raise ProtocolError(400, "negative Content-Length")
         if length > max_body_bytes:
-            raise ProtocolError(
-                413, f"body exceeds {max_body_bytes} bytes", path=request_path
-            )
+            raise ProtocolError(413, f"body exceeds {max_body_bytes} bytes")
         body = await reader.readexactly(length)
     elif headers.get("transfer-encoding"):
-        raise ProtocolError(400, "chunked transfer encoding is not supported", path=request_path)
+        raise ProtocolError(400, "chunked transfer encoding is not supported")
 
     # The routing table is path-only; query parameters are decoded for
     # handlers that take options (e.g. ``/debug/traces?n=5``).
@@ -286,33 +273,6 @@ def render_response(
     for name, value in (extra_headers or {}).items():
         lines.append(f"{name}: {value}")
     return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
-
-
-def json_response(
-    status: int,
-    payload,
-    extra_headers: dict[str, str] | None = None,
-    keep_alive: bool = True,
-) -> bytes:
-    body = json.dumps(payload).encode("utf-8")
-    return render_response(status, body, extra_headers=extra_headers, keep_alive=keep_alive)
-
-
-def error_response(
-    status: int,
-    message: str,
-    extra_headers: dict[str, str] | None = None,
-    keep_alive: bool = True,
-) -> bytes:
-    """The uniform JSON error object every failure path returns."""
-    payload = {
-        "error": {
-            "status": status,
-            "reason": REASON_PHRASES.get(status, "Unknown"),
-            "message": message,
-        }
-    }
-    return json_response(status, payload, extra_headers=extra_headers, keep_alive=keep_alive)
 
 
 def trace_list_query(request: Request) -> dict:

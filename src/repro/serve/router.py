@@ -35,9 +35,9 @@ epoch.
 Batch scans fan out: scripts are grouped by owning shard, sub-batches
 run concurrently, and the merged response preserves the caller's
 ordering.  ``POST /v1/admin/reload`` delegates to the supervisor's
-rolling reload.  Everything speaks the same v1 envelope (and the same
-legacy aliases) as a single daemon — a ``ScanClient`` cannot tell the
-difference, which is the point.
+rolling reload.  Everything speaks the same v1 envelope as a single
+daemon — a ``ScanClient`` cannot tell the difference, which is the
+point.
 """
 
 from __future__ import annotations
@@ -324,8 +324,8 @@ class ScanRouter(HTTPService):
     async def _forward_once(
         self, shard_id: str, request: Request, body: bytes | None = None
     ) -> Response:
-        """Forward on the surface the client chose — bodies pass through
-        verbatim, so a legacy client gets legacy bytes back."""
+        """Forward to one shard: the client's body verbatim unless ``body``
+        replaces it (a batch's sub-batch)."""
         spec = self.supervisor.shards[shard_id]
         headers = {}
         if request.traceparent:
@@ -466,7 +466,7 @@ class ScanRouter(HTTPService):
                 root.set_status("error", f"answered {status}")
             if status == 200 and shard_id is not None and options is not None:
                 try:
-                    entry = self._unwrap(request, rendered)
+                    entry = _unwrap(rendered)
                 except (ValueError, KeyError):
                     entry = None
                 if isinstance(entry, dict):
@@ -477,10 +477,9 @@ class ScanRouter(HTTPService):
 
     async def _handle_scan_batch(self, request: Request) -> tuple[int, bytes]:
         payload = request.json()
-        # Parsed before the fan-out, so a 400 names the caller's index,
-        # not one within a shard's sub-batch.
-        sources = [source for source, _name in parse_batch_scripts(payload)]
-        scripts = payload["scripts"]
+        # Parsed before the fan-out, so a 400 names the caller's index and
+        # an unnamed entry is named by it, not by one within a sub-batch.
+        scripts = parse_batch_scripts(payload)
 
         root = self.tracer.start_trace(
             "router.scan_batch",
@@ -493,7 +492,7 @@ class ScanRouter(HTTPService):
                 request.trace_id_hint = root.context.trace_id
             # Group by owning replica; each sub-batch is one upstream request.
             groups: dict[str, list[int]] = {}
-            for index, source in enumerate(sources):
+            for index, (source, _name) in enumerate(scripts):
                 owner = self._replica_owner(content_key(source))
                 if owner is None:
                     return self._brownout(request, "no replica available for this batch")
@@ -503,12 +502,12 @@ class ScanRouter(HTTPService):
             async def run_group(shard_id: str, indices: list[int]) -> tuple[list[int], int, bytes]:
                 # Every request option (threshold, deobfuscate, ...) reaches
                 # the shard, as it would reach one daemon.
-                sub = {**payload, "scripts": [scripts[i] for i in indices]}
-                body = json.dumps(sub).encode("utf-8")
+                entries = [{"source": scripts[i][0], "name": scripts[i][1]} for i in indices]
+                body = json.dumps({**payload, "scripts": entries}).encode("utf-8")
                 # Sub-batches keep affinity via their first key but may fail
                 # over along its replica set — correctness over affinity.
                 status, rendered, _served_by = await self._forward_with_retries(
-                    request, content_key(sources[indices[0]]), body=body
+                    request, content_key(scripts[indices[0]][0]), body=body
                 )
                 return indices, status, rendered
 
@@ -524,7 +523,7 @@ class ScanRouter(HTTPService):
             fingerprint = None
             threshold = payload.get("threshold")
             for indices, _status, rendered in settled:
-                data = self._unwrap(request, rendered)
+                data = _unwrap(rendered)
                 fingerprint = data.get("model_fingerprint", fingerprint)
                 if threshold is None:
                     threshold = data.get("threshold")
@@ -542,14 +541,6 @@ class ScanRouter(HTTPService):
             request, body_out, trace_id=root.context.trace_id,
             extra_headers=self._trace_headers(root),
         )
-
-    def _unwrap(self, request: Request, rendered: bytes) -> dict:
-        """Pull the JSON payload back out of a passthrough-rendered response."""
-        _head, _sep, body = rendered.partition(b"\r\n\r\n")
-        payload = json.loads(body.decode("utf-8"))
-        if request.api == "v1":
-            return payload["data"]
-        return payload
 
     def _replica_owner(self, key: str) -> str | None:
         """First live member of the key's replica set (batch grouping)."""
@@ -767,3 +758,9 @@ class ScanRouter(HTTPService):
             "spans": merged_spans,
             "tree": span_tree(merged_spans),
         }
+
+
+def _unwrap(rendered: bytes) -> dict:
+    """The envelope's ``data`` out of a passthrough-rendered response."""
+    _head, _sep, body = rendered.partition(b"\r\n\r\n")
+    return json.loads(body.decode("utf-8"))["data"]

@@ -4,15 +4,12 @@
 client written against one talks to the other unchanged:
 
 * the keep-alive connection loop over :mod:`repro.serve.http` framing;
-* one route table, built once, with one 404/405 rule: a path no route
-  serves is 404, a wrong verb on a served path is 405 with ``Allow``, and
-  the legacy surface serves only the deprecation aliases of
-  :data:`~repro.serve.api.LEGACY_ALIASES`, so every other route is
-  v1-only;
+* one route table, built once and mounted under ``/v1``, with one
+  404/405 rule: a path no route serves (any path outside ``/v1``
+  included) is 404, and a wrong verb on a served path is 405 with an
+  ``Allow`` header naming that route's own verbs;
 * rendering: every handler returns a payload, and :meth:`~HTTPService._ok`
-  / :meth:`~HTTPService._err` render it as the v1 envelope under ``/v1``
-  or the v0 body on the legacy aliases (plus their ``Deprecation`` and
-  ``Link`` headers);
+  / :meth:`~HTTPService._err` render it as the v1 envelope;
 * the request counters, whose ``path`` and ``method`` labels come from
   the matched route, so arbitrary paths and verbs cannot mint series;
 * the trace store, ``/debug/traces``, ``/debug/prof`` and the base
@@ -36,25 +33,8 @@ from collections.abc import Awaitable, Callable
 
 from repro.obs import MetricsRegistry, SamplingProfiler, SpanContext, Tracer, TraceStore
 
-from .api import (
-    API_VERSION,
-    V1_PREFIX,
-    deprecation_headers,
-    is_legacy_alias,
-    protocol_error_response,
-    split_api_path,
-    v1_error_response,
-    v1_response,
-)
-from .http import (
-    ProtocolError,
-    Request,
-    error_response,
-    json_response,
-    read_request,
-    render_response,
-    trace_list_query,
-)
+from .api import V1_PREFIX, v1_error_response, v1_response
+from .http import ProtocolError, Request, read_request, render_response, trace_list_query
 
 Handler = Callable[[Request], Awaitable[tuple[int, bytes]]]
 
@@ -70,7 +50,6 @@ TRACES_PATH = "/debug/traces"
 #: The one prefix route: ``/debug/traces/<id>`` looks one trace up.
 TRACE_LOOKUP_PATH = TRACES_PATH + "/<id>"
 
-_ALLOW = "GET, POST"
 _SIGNALS = (signal.SIGTERM, signal.SIGINT)
 
 
@@ -78,8 +57,7 @@ class Reply(Exception):
     """Internal control flow: a semantic early response.
 
     Carries *what went wrong*, not bytes — the routing layer renders it
-    as a legacy ``{"error": {...}}`` body or a v1 error envelope
-    depending on which surface the request arrived on.
+    as a v1 error envelope.
     """
 
     def __init__(
@@ -117,7 +95,6 @@ class HTTPService:
         self._server: asyncio.AbstractServer | None = None
 
         self._m_requests: dict[tuple[str, str, int], object] = {}
-        self._m_deprecated: dict[str, object] = {}
         self._m_latency = self.metrics.histogram(*latency_metric)
         from repro import __version__
 
@@ -169,7 +146,7 @@ class HTTPService:
                 try:
                     request = await read_request(reader, self.config.max_body_bytes)
                 except ProtocolError as error:
-                    writer.write(protocol_error_response(error))
+                    writer.write(v1_error_response(error.status, error.message, keep_alive=False))
                     await writer.drain()
                     break
                 except (asyncio.IncompleteReadError, ConnectionError):
@@ -204,23 +181,10 @@ class HTTPService:
             self._m_requests[key] = counter
         counter.inc()
 
-    def _count_deprecated(self, path: str) -> None:
-        counter = self._m_deprecated.get(path)
-        if counter is None:
-            counter = self.metrics.counter(
-                "repro_http_deprecated_requests_total",
-                "Requests on unprefixed legacy paths (deprecation aliases of /v1)",
-                labels={"path": path},
-            )
-            self._m_deprecated[path] = counter
-        counter.inc()
-
     # ------------------------------------------------------------- rendering
     #
     # Every handler produces a *payload* (a JSON-able dict) and the routing
-    # layer renders it per API surface: the v1 envelope under /v1, the
-    # byte-identical v0 body on the legacy aliases.  Error paths flow
-    # through the same split — one semantic error, two renderings.
+    # layer renders it as the v1 envelope; error paths render the same way.
 
     def _ok(
         self,
@@ -230,9 +194,7 @@ class HTTPService:
         extra_headers: dict[str, str] | None = None,
         status: int = 200,
     ) -> tuple[int, bytes]:
-        if request.api == API_VERSION:
-            return status, v1_response(status, payload, trace_id=trace_id, extra_headers=extra_headers)
-        return status, json_response(status, payload, extra_headers=extra_headers)
+        return status, v1_response(status, payload, trace_id=trace_id, extra_headers=extra_headers)
 
     def _err(
         self,
@@ -244,18 +206,14 @@ class HTTPService:
         trace_id: str | None = None,
         keep_alive: bool = True,
     ) -> tuple[int, bytes]:
-        """An error on the request's surface; ``trace_id`` defaults to the
-        inbound ``traceparent``'s."""
+        """An error envelope; ``trace_id`` defaults to the inbound
+        ``traceparent``'s."""
         if trace_id is None:
             parent = SpanContext.parse(request.traceparent)
             trace_id = parent.trace_id if parent is not None else None
-        if request.api == API_VERSION:
-            return status, v1_error_response(
-                status, message, trace_id=trace_id, detail=detail,
-                extra_headers=extra_headers, keep_alive=keep_alive,
-            )
-        return status, error_response(
-            status, message, extra_headers=extra_headers, keep_alive=keep_alive
+        return status, v1_error_response(
+            status, message, trace_id=trace_id, detail=detail,
+            extra_headers=extra_headers, keep_alive=keep_alive,
         )
 
     def _render_reply(
@@ -278,22 +236,21 @@ class HTTPService:
 
     # --------------------------------------------------------------- routing
 
-    def _match(self, api: str, logical: str) -> str | None:
-        """The route ``logical`` falls under on surface ``api``, if any."""
-        if logical.rstrip("/") == TRACES_PATH:
-            path = TRACES_PATH
-        elif logical.startswith(TRACES_PATH + "/"):
-            path = TRACE_LOOKUP_PATH
-        else:
-            path = logical
-        if path not in self._routes or (api != API_VERSION and not is_legacy_alias(path)):
+    def _match(self, request_path: str) -> str | None:
+        """The route ``request_path`` falls under, if any; every route is
+        mounted under ``/v1``."""
+        if not request_path.startswith(V1_PREFIX + "/"):
             return None
-        return path
+        logical = request_path[len(V1_PREFIX) :]
+        if logical.rstrip("/") == TRACES_PATH:
+            return TRACES_PATH
+        if logical.startswith(TRACES_PATH + "/"):
+            return TRACE_LOOKUP_PATH
+        return logical if logical in self._routes else None
 
     async def _route(self, request: Request) -> tuple[bytes, bool]:
         """Dispatch one request; returns ``(response_bytes, keep_alive)``."""
-        request.api, logical = split_api_path(request.path)
-        path = self._match(request.api, logical)
+        path = self._match(request.path)
         handlers = self._routes[path] if path is not None else {}
         handler = handlers.get(request.method)
         try:
@@ -302,7 +259,7 @@ class HTTPService:
                     request,
                     405 if handlers else 404,
                     f"no route for {request.method} {request.path}",
-                    extra_headers={"Allow": _ALLOW} if handlers else None,
+                    extra_headers={"Allow": ", ".join(sorted(handlers))} if handlers else None,
                 )
             else:
                 status, response = await handler(request)
@@ -314,13 +271,7 @@ class HTTPService:
             status, response = self._err(
                 request, 500, f"internal error: {type(error).__name__}: {error}"
             )
-        if path is None:
-            label = UNMATCHED_PATH
-        else:
-            label = V1_PREFIX + path if request.api == API_VERSION else path
-        if request.api != API_VERSION and is_legacy_alias(logical):
-            self._count_deprecated(label)
-            response = _inject_headers(response, deprecation_headers(logical))
+        label = UNMATCHED_PATH if path is None else V1_PREFIX + path
         method = request.method if request.method in self._verbs else OTHER_METHOD
         self._count_request(method, label, status)
         return response, status < 500 or status == 503
@@ -383,20 +334,6 @@ class HTTPService:
         return 200, render_response(
             200, report.collapsed().encode("utf-8"), content_type="text/plain; charset=utf-8"
         )
-
-
-def _inject_headers(response: bytes, headers: dict[str, str]) -> bytes:
-    """Add headers to an already-rendered response (deprecation aliases).
-
-    The legacy body must stay byte-identical, so alias responses are
-    rendered exactly as before and the ``Deprecation``/``Link`` headers
-    are spliced into the header block afterwards.
-    """
-    head, sep, body = response.partition(b"\r\n\r\n")
-    if not sep:  # pragma: no cover - every rendered response has the blank line
-        return response
-    extra = "".join(f"\r\n{name}: {value}" for name, value in headers.items())
-    return head + extra.encode("latin-1") + sep + body
 
 
 # ----------------------------------------------------------------- lifecycles

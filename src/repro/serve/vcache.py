@@ -16,8 +16,9 @@ age out of the LRU).  Entries remember which shard answered, so cache
 hits replay the same ``X-Shard`` attribution the consistent-hash
 placement would produce.
 
-Only successful (200) single-scan and batch-item verdicts are cached:
-errors are transient routing state, not content facts.
+Only successful (200) single-script ``/v1/scan`` verdicts are cached:
+errors are transient routing state, not content facts, and batch scans
+neither read nor fill the cache.
 """
 
 from __future__ import annotations

@@ -59,9 +59,9 @@ def http_json(background, method, path, payload=None, raw_body=None):
 class TestDegradedRequests:
     def test_hanging_script_returns_degraded_timeout_verdict(self, server):
         status, _, body = http_json(
-            server, "POST", "/scan", {"source": HANG_A, "name": "hang.js"}
+            server, "POST", "/v1/scan", {"source": HANG_A, "name": "hang.js"}
         )
-        payload = json.loads(body)
+        payload = json.loads(body)["data"]
         assert status == 200  # the request survives the worker
         assert payload["status"] == "timeout"
         assert payload["degraded"] is True
@@ -71,9 +71,9 @@ class TestDegradedRequests:
     def test_resubmission_is_served_from_quarantine(self, server):
         started = time.monotonic()
         status, _, body = http_json(
-            server, "POST", "/scan", {"source": HANG_A, "name": "hang-again.js"}
+            server, "POST", "/v1/scan", {"source": HANG_A, "name": "hang-again.js"}
         )
-        payload = json.loads(body)
+        payload = json.loads(body)["data"]
         assert status == 200
         assert payload["status"] == "timeout"
         assert payload["fault"]["known"] is True
@@ -83,35 +83,35 @@ class TestDegradedRequests:
     def test_clean_scan_still_works_after_faults(self, server, detector, split):
         source = split.test.sources[0]
         expected = detector.scan(source)
-        status, _, body = http_json(server, "POST", "/scan", {"source": source})
-        payload = json.loads(body)
+        status, _, body = http_json(server, "POST", "/v1/scan", {"source": source})
+        payload = json.loads(body)["data"]
         assert status == 200
         assert payload["status"] == "ok"
         assert payload["degraded"] is False
         assert payload["probability"] == expected.probability
 
     def test_healthz_reports_breaker_and_quarantine(self, server):
-        status, _, body = http_json(server, "GET", "/healthz")
-        payload = json.loads(body)
+        status, _, body = http_json(server, "GET", "/v1/healthz")
+        payload = json.loads(body)["data"]
         assert status == 200
         assert payload["breaker"]["state"] in {"closed", "open", "half_open"}
         assert payload["quarantined"] >= 1
 
     def test_metrics_count_failures_by_cause(self, server):
-        _, _, body = http_json(server, "GET", "/metrics")
+        _, _, body = http_json(server, "GET", "/v1/metrics")
         text = body.decode()
         assert 'repro_scan_failures_total{cause="timeout"}' in text
         assert "repro_breaker_state" in text
 
     def test_oversized_body_is_413(self, server):
         big = json.dumps({"source": "x" * 8192})
-        status, _, body = http_json(server, "POST", "/scan", raw_body=big)
+        status, _, body = http_json(server, "POST", "/v1/scan", raw_body=big)
         assert status == 413
-        assert b"body exceeds 4096 bytes" in body
+        assert json.loads(body)["error"]["message"] == "body exceeds 4096 bytes"
 
     def test_version_echoes_fault_config(self, server):
-        _, _, body = http_json(server, "GET", "/version")
-        config = json.loads(body)["config"]
+        _, _, body = http_json(server, "GET", "/v1/version")
+        config = json.loads(body)["data"]["config"]
         assert config["timeout_s"] == 1.0
         assert config["max_rss_mb"] == 256
         assert config["max_body_bytes"] == 4096
@@ -130,27 +130,27 @@ class TestBreakerLifecycle:
             yield background
 
     def breaker_state(self, background):
-        _, _, body = http_json(background, "GET", "/healthz")
-        return json.loads(body)["breaker"]["state"]
+        _, _, body = http_json(background, "GET", "/v1/healthz")
+        return json.loads(body)["data"]["breaker"]["state"]
 
     def test_sustained_deaths_open_then_probe_closes(self, fragile_server):
         # Two distinct poison scripts = two fresh worker deaths = threshold.
         # (A repeat of the same script is served from quarantine and would
         # not count — the breaker only counts scripts that cost a worker.)
         for source in (HANG_A, HANG_B):
-            status, _, body = http_json(fragile_server, "POST", "/scan", {"source": source})
+            status, _, body = http_json(fragile_server, "POST", "/v1/scan", {"source": source})
             assert status == 200
-            assert json.loads(body)["status"] == "timeout"
+            assert json.loads(body)["data"]["status"] == "timeout"
 
-        status, headers, body = http_json(fragile_server, "POST", "/scan", {"source": CLEAN})
+        status, headers, body = http_json(fragile_server, "POST", "/v1/scan", {"source": CLEAN})
         assert status == 503
         assert "Retry-After" in headers
         assert int(headers["Retry-After"]) >= 1
-        assert b"circuit breaker" in body
+        assert "circuit breaker" in json.loads(body)["error"]["message"]
         assert self.breaker_state(fragile_server) == "open"
 
         time.sleep(1.1)  # past breaker_reset_s: next request is the probe
-        status, _, body = http_json(fragile_server, "POST", "/scan", {"source": CLEAN})
+        status, _, body = http_json(fragile_server, "POST", "/v1/scan", {"source": CLEAN})
         assert status == 200
-        assert json.loads(body)["status"] == "ok"
+        assert json.loads(body)["data"]["status"] == "ok"
         assert self.breaker_state(fragile_server) == "closed"

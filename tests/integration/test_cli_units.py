@@ -67,10 +67,10 @@ class TestParser:
         assert args.request_timeout_s == 30.0
         assert args.shards == 1
 
-    def test_serve_flags(self, capsys):
+    def test_serve_flags(self):
         args = build_parser().parse_args(
             ["serve", "--model", "m", "--host", "0.0.0.0", "--port", "0",
-             "--workers", "2", "--max-batch", "16", "--max-wait-ms", "5",
+             "--workers", "2", "--max-batch", "16",
              "--queue-limit", "128", "--cache-dir", "/tmp/c",
              "--threshold", "0.7", "--request-timeout-s", "10"]
         )
@@ -82,43 +82,56 @@ class TestParser:
         assert args.cache_dir == "/tmp/c"
         assert args.threshold == 0.7
         assert args.request_timeout_s == 10.0
-        # --max-wait-ms still parses so old invocations boot, but is ignored.
-        assert not hasattr(args, "max_wait_ms")
-        err = capsys.readouterr().err
-        assert err.count("warning: --max-wait-ms is ignored") == 1
-        assert "dispatch as soon as the scanner is idle" in err
 
-    def test_max_wait_ms_hidden_and_ignored_on_serve_and_cluster(self, capsys):
-        import argparse
+    def test_max_wait_ms_rejected_on_serve_and_cluster(self, capsys):
+        # The flush timer is gone (micro-batches dispatch when the scanner
+        # is idle), and so is the flag that used to be parsed and ignored.
+        for command in ("serve", "cluster"):
+            with pytest.raises(SystemExit) as caught:
+                build_parser().parse_args([command, "--model", "m", "--max-wait-ms", "5"])
+            assert caught.value.code == 2
+            assert "unrecognized arguments: --max-wait-ms" in capsys.readouterr().err
 
+    def test_serve_request_timeout_deprecated_alias(self, capsys):
+        # The pre-rename spelling is a usage error; only --request-timeout-s remains.
+        with pytest.raises(SystemExit) as caught:
+            build_parser().parse_args(["serve", "--model", "m", "--request-timeout", "7"])
+        assert caught.value.code == 2
+        assert "unrecognized arguments: --request-timeout 7" in capsys.readouterr().err
+
+    def test_serve_request_timeout_alias_hidden_from_help(self):
+        serve = build_parser()._subparsers._group_actions[0].choices["serve"]
+        options = {option for action in serve._actions for option in action.option_strings}
+        assert "--request-timeout" not in options
+        assert "--request-timeout-s" in options
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--model", "m", "--shards", "2", "--workers", "3", "--max-batch", "5",
+             "--queue-limit", "9", "--threshold", "0.7", "--request-timeout-s", "120",
+             "--timeout-s", "5", "--max-rss-mb", "512", "--quarantine-dir", "/tmp/q",
+             "--breaker-threshold", "7", "--breaker-reset-s", "12.5",
+             "--max-body-bytes", "4096", "--trace-capacity", "64", "--trace-slow-ms", "80",
+             "--deobfuscate"],
+            ["cluster", "--model", "m", "--workers", "3", "--max-batch", "5",
+             "--queue-limit", "9", "--threshold", "0.7", "--request-timeout-s", "120"],
+        ],
+        ids=["serve", "cluster"],
+    )
+    def test_shards_inherit_the_daemon_flags_their_command_accepted(self, argv):
         from repro.cli import _shard_flags
 
         parser = build_parser()
-        for command in ("serve", "cluster"):
-            subparser = parser._subparsers._group_actions[0].choices[command]
-            (action,) = [a for a in subparser._actions if "--max-wait-ms" in a.option_strings]
-            assert action.help is argparse.SUPPRESS
-            args = parser.parse_args([command, "--model", "m", "--max-wait-ms", "25"])
-            assert not hasattr(args, "max_wait_ms")
-            assert "--max-wait-ms" not in _shard_flags(args)
-        assert capsys.readouterr().err.count("warning: --max-wait-ms is ignored") == 2
-        with pytest.raises(SystemExit):  # the value must still be a number
-            parser.parse_args(["serve", "--model", "m", "--max-wait-ms", "soon"])
-
-    def test_serve_request_timeout_deprecated_alias(self, capsys):
-        args = build_parser().parse_args(
-            ["serve", "--model", "m", "--request-timeout", "7"]
-        )
-        assert args.request_timeout_s == 7.0
-        assert "deprecated" in capsys.readouterr().err
-
-    def test_serve_request_timeout_alias_hidden_from_help(self):
-        serve_help = None
-        parser = build_parser()
-        for action in parser._subparsers._group_actions[0].choices["serve"]._actions:
-            if "--request-timeout" in action.option_strings:
-                import argparse
-                assert action.help is argparse.SUPPRESS
+        args = parser.parse_args(argv)
+        shard = parser.parse_args(["serve", "--model", "m"] + _shard_flags(args))
+        # Set per shard by the supervisor, or consumed by the router itself.
+        not_forwarded = {"model", "host", "port", "shards", "cache_dir", "trace_sample_rate",
+                         "log_level", "log_format", "fn", "command"}
+        shared = (set(vars(args)) & set(vars(shard))) - not_forwarded
+        assert {"workers", "request_timeout_s"} <= shared
+        assert {dest: getattr(shard, dest) for dest in shared} == \
+               {dest: getattr(args, dest) for dest in shared}
 
     def test_cluster_defaults(self):
         args = build_parser().parse_args(["cluster", "--model", "m"])

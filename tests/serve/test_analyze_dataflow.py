@@ -1,4 +1,4 @@
-"""POST /analyze with taint-flow findings: witness round-trip + deobfuscate.
+"""POST /v1/analyze with taint-flow findings: witness round-trip + deobfuscate.
 
 The v1 contract ISSUE 8 adds: every flow finding returned over HTTP
 carries its complete ordered source→sink witness, and
@@ -34,9 +34,11 @@ def server():
         yield background
 
 
-def analyze(server, payload, path="/analyze"):
-    status, _, body = http_json(server, "POST", path, payload)
-    return status, json.loads(body)
+def analyze(server, payload):
+    """``(status, data)`` of a 200, ``(status, envelope)`` of an error."""
+    status, _, body = http_json(server, "POST", "/v1/analyze", payload)
+    envelope = json.loads(body)
+    return status, envelope.get("data", envelope)
 
 
 class TestWitnessOverHttp:
@@ -51,15 +53,17 @@ class TestWitnessOverHttp:
         assert all({"line", "col", "op"} <= set(h) for h in hops)
 
     def test_witness_identical_on_v1_route(self, server):
-        _, plain = analyze(server, {"source": FLOW_SAMPLE})
-        status, v1 = analyze(server, {"source": FLOW_SAMPLE}, path="/v1/analyze")
-        assert status == 200 and v1["api_version"] == "v1"
+        from repro.analysis import Analyzer
+
+        local = Analyzer().analyze(FLOW_SAMPLE, name="<request>").to_dict()
+        status, served = analyze(server, {"source": FLOW_SAMPLE})
+        assert status == 200
         strip = lambda p: {  # noqa: E731
             k: v
             for k, v in p.items()
             if k not in ("trace_id", "elapsed_ms", "dataflow_ms")
         }
-        assert strip(plain) == strip(v1["data"])
+        assert strip(served) == strip(local)
 
     def test_witness_round_trips_through_report_from_dict(self, server):
         from repro.analysis import AnalysisReport

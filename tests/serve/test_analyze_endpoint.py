@@ -1,4 +1,4 @@
-"""Tests for POST /analyze: static analysis over HTTP, no model involved."""
+"""Tests for POST /v1/analyze: static analysis over HTTP, no model involved."""
 
 import json
 
@@ -30,9 +30,9 @@ def server(detector):
 class TestAnalyzeEndpoint:
     def test_findings_round_trip(self, server):
         status, _, body = http_json(
-            server, "POST", "/analyze", {"source": "eval(code); debugger;", "name": "t.js"}
+            server, "POST", "/v1/analyze", {"source": "eval(code); debugger;", "name": "t.js"}
         )
-        payload = json.loads(body)
+        payload = json.loads(body)["data"]
         assert status == 200
         assert payload["name"] == "t.js"
         assert payload["parse_ok"] is True
@@ -42,39 +42,39 @@ class TestAnalyzeEndpoint:
 
     def test_decisive_flag_exposed(self, server):
         status, _, body = http_json(
-            server, "POST", "/analyze", {"source": 'eval(unescape("%61"));'}
+            server, "POST", "/v1/analyze", {"source": 'eval(unescape("%61"));'}
         )
-        payload = json.loads(body)
+        payload = json.loads(body)["data"]
         assert status == 200 and payload["decisive"] is True
 
     def test_syntax_error_is_200_with_parse_error_finding(self, server):
-        status, _, body = http_json(server, "POST", "/analyze", {"source": "var (((("})
-        payload = json.loads(body)
+        status, _, body = http_json(server, "POST", "/v1/analyze", {"source": "var (((("})
+        payload = json.loads(body)["data"]
         assert status == 200
         assert payload["parse_ok"] is False
         assert payload["findings"][0]["rule_id"] == "parse-error"
 
     def test_missing_source_is_400(self, server):
-        status, _, body = http_json(server, "POST", "/analyze", {"name": "x.js"})
+        status, _, body = http_json(server, "POST", "/v1/analyze", {"name": "x.js"})
         assert status == 400
         assert "source" in json.loads(body)["error"]["message"]
 
     def test_non_object_body_is_400(self, server):
-        status, _, _ = http_json(server, "POST", "/analyze", payload=["not", "an", "object"])
+        status, _, _ = http_json(server, "POST", "/v1/analyze", payload=["not", "an", "object"])
         assert status == 400
 
     def test_malformed_json_is_400(self, server):
-        status, _, _ = http_json(server, "POST", "/analyze", raw_body="{nope")
+        status, _, _ = http_json(server, "POST", "/v1/analyze", raw_body="{nope")
         assert status == 400
 
     def test_non_string_name_is_400(self, server):
-        status, _, _ = http_json(server, "POST", "/analyze", {"source": "1;", "name": 7})
+        status, _, _ = http_json(server, "POST", "/v1/analyze", {"source": "1;", "name": 7})
         assert status == 400
 
     def test_get_method_not_allowed(self, server):
-        status, headers, _ = http_json(server, "GET", "/analyze")
+        status, headers, _ = http_json(server, "GET", "/v1/analyze")
         assert status == 405
-        assert "Allow" in headers
+        assert headers["Allow"] == "POST"
 
     def test_backpressure_429_when_queue_full(self, server):
         batcher = server.server.batcher
@@ -85,7 +85,7 @@ class TestAnalyzeEndpoint:
         saved = patched.queue_depth
         patched.queue_depth = property(lambda self: limit)
         try:
-            status, headers, _ = http_json(server, "POST", "/analyze", {"source": "1;"})
+            status, headers, _ = http_json(server, "POST", "/v1/analyze", {"source": "1;"})
         finally:
             patched.queue_depth = saved
         assert status == 429
@@ -93,8 +93,8 @@ class TestAnalyzeEndpoint:
         assert batcher.queue_depth == original
 
     def test_per_rule_metrics_exposed(self, server):
-        http_json(server, "POST", "/analyze", {"source": "with (o) {}"})
-        status, _, body = http_json(server, "GET", "/metrics")
+        http_json(server, "POST", "/v1/analyze", {"source": "with (o) {}"})
+        status, _, body = http_json(server, "GET", "/v1/metrics")
         text = body.decode()
         assert status == 200
         assert 'repro_analysis_findings_total{rule="with-statement"}' in text

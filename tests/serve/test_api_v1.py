@@ -1,14 +1,14 @@
 """Golden-response tests for the v1 API surface on the scan daemon.
 
-The contract under test (API.md): every ``/v1`` response — success and
-every 4xx/5xx alike, including backpressure states like drain and an
-open breaker — is one envelope, ``error.code`` is stable, and the
-unprefixed legacy aliases keep their byte-identical v0 bodies while
-advertising deprecation.
+The contract under test (API.md): every response — success and every
+4xx/5xx alike, including backpressure states like drain and an open
+breaker — is one envelope, ``error.code`` is stable, and the former
+unprefixed v0 paths are ordinary 404s.
 """
 
 import http.client
 import json
+import socket
 
 import pytest
 
@@ -86,31 +86,37 @@ def test_v1_scan_success_envelope(server, split):
     assert "Deprecation" not in headers
 
 
-def test_legacy_scan_body_unchanged_plus_deprecation(server, split):
-    status, headers, body = http_json(
-        server, "POST", "/scan", {"source": split.test.sources[0], "name": "s.js"}
-    )
-    assert status == 200
-    payload = json.loads(body)
-    # v0 body: the result object at top level, no envelope keys.
-    assert "api_version" not in payload
-    assert payload["verdict"] in ("malicious", "benign")
-    assert headers["Deprecation"] == "true"
-    assert 'rel="successor-version"' in headers["Link"]
-    assert "</v1/scan>" in headers["Link"]
+#: The removed v0 aliases, each with the verb it used to serve.
+FORMER_ALIASES = [
+    ("POST", "/scan"),
+    ("POST", "/scan/batch"),
+    ("POST", "/analyze"),
+    ("GET", "/healthz"),
+    ("GET", "/version"),
+    ("GET", "/metrics"),
+    ("GET", "/debug/traces"),
+    ("GET", f"/debug/traces/{'ab' * 16}"),
+]
+
+
+def test_former_aliases_answer_404(server, split):
+    body = {"source": split.test.sources[0], "scripts": [split.test.sources[0]]}
+    for method, path in FORMER_ALIASES:
+        status, headers, raw = http_json(
+            server, method, path, body if method == "POST" else None
+        )
+        assert status == 404, (method, path)
+        assert expect_error_envelope(404, raw).code == "not_found"
+        assert "Deprecation" not in headers and "Link" not in headers, (path, headers)
     _status, _headers, metrics = http_json(server, "GET", "/v1/metrics")
-    assert b'repro_http_deprecated_requests_total{path="/scan"} 1' in metrics
-
-
-def test_legacy_error_shape_unchanged(server):
-    status, headers, body = http_json(server, "POST", "/scan", raw_body="{not json")
-    assert status == 400
-    payload = json.loads(body)
-    assert set(payload) == {"error"}
-    assert payload["error"]["status"] == 400
-    assert payload["error"]["reason"] == "Bad Request"
-    assert payload["error"]["message"]
-    assert headers["Deprecation"] == "true"
+    text = metrics.decode("utf-8")
+    assert "repro_http_deprecated_requests_total" not in text
+    unmatched = sum(
+        float(line.rsplit(" ", 1)[1])
+        for line in text.splitlines()
+        if line.startswith("repro_http_requests_total{") and 'path="<unmatched>"' in line
+    )
+    assert unmatched == len(FORMER_ALIASES)
 
 
 # ------------------------------------------------------------- golden errors
@@ -135,18 +141,20 @@ def test_golden_404(server):
     status, _headers, body = http_json(server, "GET", "/v1/no/such/route")
     assert status == 404
     expect_error_envelope(404, body)
-    # Unprefixed unknown paths are plain 404s, not deprecation aliases.
+    # Unprefixed paths are plain 404s on the same envelope.
     status, headers, body = http_json(server, "GET", "/no/such/route")
     assert status == 404
     assert "Deprecation" not in headers
-    assert json.loads(body)["error"]["status"] == 404
+    expect_error_envelope(404, body)
 
 
 def test_golden_405(server):
-    status, headers, body = http_json(server, "GET", "/v1/scan")
-    assert status == 405
-    assert headers["Allow"] == "GET, POST"
-    expect_error_envelope(405, body)
+    # ``Allow`` names the verbs the route itself serves.
+    for method, path, allow in [("GET", "/v1/scan", "POST"), ("POST", "/v1/healthz", "GET")]:
+        status, headers, body = http_json(server, method, path)
+        assert status == 405
+        assert headers["Allow"] == allow, (method, path)
+        expect_error_envelope(405, body)
 
 
 def test_golden_413(detector, split):
@@ -156,10 +164,23 @@ def test_golden_413(detector, split):
         status, _headers, body = http_json(server, "POST", "/v1/scan", big)
         assert status == 413
         expect_error_envelope(413, body)
-        # The legacy surface keeps the v0 error object.
+        # Refused before routing, so any path gets the same envelope.
         status, _headers, body = http_json(server, "POST", "/scan", big)
         assert status == 413
-        assert json.loads(body)["error"]["status"] == 413
+        expect_error_envelope(413, body)
+
+
+def test_pre_routing_400_is_an_envelope(server):
+    # A malformed header block fails before the path is routed.
+    with socket.create_connection((server.host, server.port), timeout=30) as sock:
+        sock.sendall(b"POST /scan HTTP/1.1\r\nno-colon-here\r\n\r\n")
+        raw = b""
+        while chunk := sock.recv(65536):
+            raw += chunk
+    head, _, body = raw.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 400 ")
+    assert b"Deprecation" not in head
+    assert "malformed header line" in expect_error_envelope(400, body).message
 
 
 def test_golden_429_queue_full(server, split):

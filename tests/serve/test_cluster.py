@@ -206,24 +206,16 @@ def test_router_golden_404(cluster):
 
 
 def test_router_golden_405(cluster):
-    # A wrong verb on a routed path is 405 with the daemon's Allow value,
-    # on both surfaces; the legacy alias keeps its deprecation headers.
-    for method, path in [
-        ("GET", "/v1/scan"),
-        ("POST", "/v1/healthz"),
-        ("PUT", "/v1/debug/traces"),
-        ("GET", "/scan"),
+    # A wrong verb on a routed path is 405, and Allow names the route's verbs.
+    for method, path, allow in [
+        ("GET", "/v1/scan", "POST"),
+        ("POST", "/v1/healthz", "GET"),
+        ("PUT", "/v1/debug/traces", "GET"),
     ]:
         status, headers, body = http_raw(cluster, method, path)
         assert status == 405, (method, path)
-        assert headers["allow"] == "GET, POST"
-        error = json.loads(body)["error"]
-        if path.startswith("/v1/"):
-            assert error["code"] == "method_not_allowed"
-            assert "deprecation" not in headers
-        else:
-            assert error["status"] == 405
-            assert headers["deprecation"] == "true"
+        assert headers["allow"] == allow, (method, path)
+        assert json.loads(body)["error"]["code"] == "method_not_allowed"
 
 
 def test_router_golden_413(cluster):
@@ -233,13 +225,18 @@ def test_router_golden_413(cluster):
     assert json.loads(body)["error"]["code"] == "payload_too_large"
 
 
-def test_router_legacy_alias_deprecation(cluster, split):
-    status, headers, body = http_raw(cluster, "POST", "/scan", {"source": split.test.sources[1]})
-    assert status == 200
-    assert headers["deprecation"] == "true"
-    payload = json.loads(body)
-    assert "api_version" not in payload  # legacy body passes through verbatim
-    assert payload["verdict"] in ("malicious", "benign")
+def test_router_former_aliases_answer_404(cluster, split):
+    # The unprefixed v0 paths are gone: a plain 404 envelope, nothing forwarded.
+    for method, path, payload in [
+        ("POST", "/scan", {"source": split.test.sources[1]}),
+        ("GET", "/healthz", None),
+    ]:
+        status, headers, body = http_raw(cluster, method, path, payload)
+        assert status == 404, (method, path)
+        assert "deprecation" not in headers and "x-shard" not in headers
+        envelope = json.loads(body)
+        assert envelope["api_version"] == "v1"
+        assert envelope["error"]["code"] == "not_found"
 
 
 def test_shard_errors_pass_through_as_envelopes(client):

@@ -5,14 +5,8 @@ import json
 
 import pytest
 
-from repro.serve.http import (
-    MAX_BODY_BYTES,
-    ProtocolError,
-    error_response,
-    json_response,
-    read_request,
-    render_response,
-)
+from repro.serve.api import v1_error_response, v1_response
+from repro.serve.http import MAX_BODY_BYTES, ProtocolError, read_request, render_response
 
 
 def parse(raw: bytes):
@@ -105,13 +99,12 @@ class TestResponses:
         assert b"Connection: close" in raw
 
     def test_json_response_round_trips(self):
-        raw = json_response(200, {"a": 1})
+        raw = v1_response(200, {"a": 1})
         body = raw.partition(b"\r\n\r\n")[2]
-        assert json.loads(body) == {"a": 1}
+        assert json.loads(body) == {"api_version": "v1", "trace_id": None, "data": {"a": 1}}
 
     def test_error_response_shape(self):
-        raw = error_response(429, "queue full")
+        raw = v1_error_response(429, "queue full")
+        assert raw.startswith(b"HTTP/1.1 429 Too Many Requests\r\n")
         body = json.loads(raw.partition(b"\r\n\r\n")[2])
-        assert body["error"]["status"] == 429
-        assert body["error"]["reason"] == "Too Many Requests"
-        assert body["error"]["message"] == "queue full"
+        assert body["error"] == {"code": "rate_limited", "message": "queue full", "detail": None}

@@ -32,7 +32,7 @@ SAMPLE = re.compile(
 
 @pytest.fixture(scope="module")
 def exposition():
-    """One /metrics payload from a server that has seen real traffic."""
+    """One /v1/metrics payload from a server that has seen real traffic."""
     split = experiment_split(seed=7, pretrain_per_class=6, train_per_class=12, test_per_class=8)
     det = JSRevealer(JSRevealerConfig(embed_dim=16, pretrain_epochs=3, k_benign=4, k_malicious=4, seed=7))
     det.pretrain(split.pretrain.sources, split.pretrain.labels)
@@ -49,22 +49,22 @@ def exposition():
             return data
 
         # Drive every subsystem so all families render with samples.
-        request("POST", "/scan", {"source": split.test.sources[0], "name": "m0"})
-        request("POST", "/scan/batch", {"scripts": split.test.sources[1:3]})
-        request("POST", "/scan", {"source": 'var u = "h" + "i";\nfetch(u);\n',
-                                  "name": "ob0", "deobfuscate": True})
-        request("POST", "/scan", {"source": "greet(user);\n",
-                                  "name": "cl0", "deobfuscate": True})
-        request("POST", "/analyze", {"source": "eval('x');"})
+        request("POST", "/v1/scan", {"source": split.test.sources[0], "name": "m0"})
+        request("POST", "/v1/scan/batch", {"scripts": split.test.sources[1:3]})
+        request("POST", "/v1/scan", {"source": 'var u = "h" + "i";\nfetch(u);\n',
+                                     "name": "ob0", "deobfuscate": True})
+        request("POST", "/v1/scan", {"source": "greet(user);\n",
+                                     "name": "cl0", "deobfuscate": True})
+        request("POST", "/v1/analyze", {"source": "eval('x');"})
         # A real taint flow (decode source → eval sink) so the dataflow
         # histogram and the flow-rule hit counters carry samples.
-        request("POST", "/analyze",
+        request("POST", "/v1/analyze",
                 {"source": "var p = atob(window.name);\neval(p);\n"})
-        request("POST", "/analyze",
+        request("POST", "/v1/analyze",
                 {"source": 'var u = "h" + "i";\neval(u);\n', "deobfuscate": True})
-        request("GET", "/healthz")
-        request("GET", "/nope")
-        text = request("GET", "/metrics").decode("utf-8")
+        request("GET", "/v1/healthz")
+        request("GET", "/v1/nope")
+        text = request("GET", "/v1/metrics").decode("utf-8")
     return text
 
 

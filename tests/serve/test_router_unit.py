@@ -464,7 +464,11 @@ def test_batch_options_reach_the_shard():
             )
             assert response.status == 200
             [forwarded] = [json.loads(b) for h in hits.values() for b in h["bodies"]]
-            assert forwarded == {"scripts": [SOURCE], "deobfuscate": True, "threshold": 0.7}
+            assert forwarded == {
+                "scripts": [{"source": SOURCE, "name": "<batch:0>"}],
+                "deobfuscate": True,
+                "threshold": 0.7,
+            }
         finally:
             await teardown(router, servers)
 

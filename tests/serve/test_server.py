@@ -62,8 +62,8 @@ def http_json(background, method, path, payload=None, raw_body=None):
 
 class TestEndpoints:
     def test_healthz(self, server, detector):
-        status, _, body = http_json(server, "GET", "/healthz")
-        payload = json.loads(body)
+        status, _, body = http_json(server, "GET", "/v1/healthz")
+        payload = json.loads(body)["data"]
         assert status == 200
         assert payload["status"] == "ok"
         assert payload["model_fingerprint"] == detector.fingerprint()
@@ -71,8 +71,8 @@ class TestEndpoints:
         assert payload["uptime_s"] >= 0
 
     def test_version_echoes_config(self, server):
-        status, _, body = http_json(server, "GET", "/version")
-        payload = json.loads(body)
+        status, _, body = http_json(server, "GET", "/v1/version")
+        payload = json.loads(body)["data"]
         assert status == 200
         assert payload["service"] == "repro.serve"
         assert payload["config"]["max_batch"] == 4
@@ -81,8 +81,8 @@ class TestEndpoints:
     def test_scan_matches_oneshot(self, server, detector, split):
         source = split.test.sources[0]
         expected = detector.scan(source)
-        status, _, body = http_json(server, "POST", "/scan", {"source": source, "name": "s0"})
-        payload = json.loads(body)
+        status, _, body = http_json(server, "POST", "/v1/scan", {"source": source, "name": "s0"})
+        payload = json.loads(body)["data"]
         assert status == 200
         assert payload["path"] == "s0"
         assert payload["label"] == expected.label
@@ -94,9 +94,9 @@ class TestEndpoints:
         source = split.test.sources[0]
         expected = detector.scan(source)
         status, _, body = http_json(
-            server, "POST", "/scan", {"source": source, "threshold": 1.1}
+            server, "POST", "/v1/scan", {"source": source, "threshold": 1.1}
         )
-        payload = json.loads(body)
+        payload = json.loads(body)["data"]
         assert status == 200
         assert payload["probability"] == expected.probability  # unchanged
         assert payload["malicious"] is False  # nothing reaches 1.1
@@ -105,8 +105,8 @@ class TestEndpoints:
     def test_scan_batch_mixed_entries(self, server, detector, split):
         sources = split.test.sources[:3]
         scripts = [sources[0], {"source": sources[1], "name": "named"}, {"source": sources[2]}]
-        status, _, body = http_json(server, "POST", "/scan/batch", {"scripts": scripts})
-        payload = json.loads(body)
+        status, _, body = http_json(server, "POST", "/v1/scan/batch", {"scripts": scripts})
+        payload = json.loads(body)["data"]
         assert status == 200
         assert payload["n_files"] == 3
         assert [r["path"] for r in payload["results"]] == ["<batch:0>", "named", "<batch:2>"]
@@ -116,40 +116,40 @@ class TestEndpoints:
             assert served["probability"] == oneshot.probability
 
     def test_malformed_json_is_400(self, server):
-        status, _, body = http_json(server, "POST", "/scan", raw_body="{not json")
+        status, _, body = http_json(server, "POST", "/v1/scan", raw_body="{not json")
         payload = json.loads(body)
         assert status == 400
-        assert payload["error"]["status"] == 400
+        assert payload["error"]["code"] == "bad_request"
 
     def test_missing_source_is_400(self, server):
-        status, _, body = http_json(server, "POST", "/scan", {"name": "nope"})
+        status, _, body = http_json(server, "POST", "/v1/scan", {"name": "nope"})
         assert status == 400
         assert "source" in json.loads(body)["error"]["message"]
 
     def test_bad_threshold_is_400(self, server, split):
         status, _, _ = http_json(
-            server, "POST", "/scan", {"source": split.test.sources[0], "threshold": "high"}
+            server, "POST", "/v1/scan", {"source": split.test.sources[0], "threshold": "high"}
         )
         assert status == 400
 
     def test_empty_batch_is_400(self, server):
-        status, _, _ = http_json(server, "POST", "/scan/batch", {"scripts": []})
+        status, _, _ = http_json(server, "POST", "/v1/scan/batch", {"scripts": []})
         assert status == 400
 
     def test_unknown_path_is_404(self, server):
-        status, _, _ = http_json(server, "GET", "/nope")
+        status, _, _ = http_json(server, "GET", "/v1/nope")
         assert status == 404
 
     def test_wrong_method_is_405_with_allow(self, server):
-        status, headers, _ = http_json(server, "GET", "/scan")
+        status, headers, _ = http_json(server, "GET", "/v1/scan")
         assert status == 405
-        assert "Allow" in headers
+        assert headers["Allow"] == "POST"
 
 
 class TestMetricsEndpoint:
     def test_exposition_after_traffic(self, server, split):
-        http_json(server, "POST", "/scan", {"source": split.test.sources[0]})
-        status, headers, body = http_json(server, "GET", "/metrics")
+        http_json(server, "POST", "/v1/scan", {"source": split.test.sources[0]})
+        status, headers, body = http_json(server, "GET", "/v1/metrics")
         text = body.decode("utf-8")
         assert status == 200
         assert headers["Content-Type"].startswith("text/plain; version=0.0.4")
@@ -165,7 +165,7 @@ class TestMetricsEndpoint:
             assert family in text, family
 
     def test_exposition_parses_as_prometheus_text(self, server):
-        _, _, body = http_json(server, "GET", "/metrics")
+        _, _, body = http_json(server, "GET", "/v1/metrics")
         lines = body.decode("utf-8").splitlines()
         assert lines, "metrics body must not be empty"
         for line in lines:
@@ -175,15 +175,15 @@ class TestMetricsEndpoint:
 
     def test_request_counter_advances(self, server):
         def count():
-            _, _, body = http_json(server, "GET", "/metrics")
+            _, _, body = http_json(server, "GET", "/v1/metrics")
             total = 0.0
             for line in body.decode().splitlines():
-                if line.startswith("repro_http_requests_total{") and 'path="/healthz"' in line:
+                if line.startswith("repro_http_requests_total{") and 'path="/v1/healthz"' in line:
                     total += float(line.rsplit(" ", 1)[1])
             return total
 
         before = count()
-        http_json(server, "GET", "/healthz")
+        http_json(server, "GET", "/v1/healthz")
         assert count() == before + 1
 
 
@@ -245,7 +245,7 @@ class TestConcurrency:
             statuses = {}
 
             def client(key):
-                statuses[key] = http_json(background, "POST", "/scan", {"source": source})
+                statuses[key] = http_json(background, "POST", "/v1/scan", {"source": source})
 
             # First request occupies the executor; second fills the queue.
             first = threading.Thread(target=client, args=("first",))
@@ -261,10 +261,10 @@ class TestConcurrency:
                 time.sleep(0.01)
             assert background.server.batcher.queue_depth == 1
 
-            status, headers, body = http_json(background, "POST", "/scan", {"source": source})
+            status, headers, body = http_json(background, "POST", "/v1/scan", {"source": source})
             assert status == 429
             assert headers["Retry-After"] == "1"
-            assert json.loads(body)["error"]["status"] == 429
+            assert json.loads(body)["error"]["code"] == "rate_limited"
 
             gate.set()
             first.join(timeout=30)
@@ -288,7 +288,7 @@ class TestConcurrency:
 
             def client():
                 outcome["reply"] = http_json(
-                    background, "POST", "/scan", {"source": split.test.sources[0], "name": "inflight"}
+                    background, "POST", "/v1/scan", {"source": split.test.sources[0], "name": "inflight"}
                 )
 
             thread = threading.Thread(target=client)
@@ -299,7 +299,7 @@ class TestConcurrency:
         thread.join(timeout=30)
         status, _, body = outcome["reply"]
         assert status == 200
-        assert json.loads(body)["path"] == "inflight"
+        assert json.loads(body)["data"]["path"] == "inflight"
 
     def test_request_timeout_is_503(self, detector, split):
         config = ServeConfig(
@@ -316,7 +316,7 @@ class TestConcurrency:
             background.server.batcher._scan = gated
             try:
                 status, headers, _ = http_json(
-                    background, "POST", "/scan", {"source": split.test.sources[0]}
+                    background, "POST", "/v1/scan", {"source": split.test.sources[0]}
                 )
                 assert status == 503
                 assert "Retry-After" in headers

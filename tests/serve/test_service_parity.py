@@ -5,7 +5,9 @@ the cluster router unchanged.  Both run on :class:`HTTPService`, so every
 answer the layer itself gives — 404, 405 with ``Allow``, v1-only routes,
 ``ProtocolError`` renderings, ``/debug/prof`` and trace lookups — must
 agree between them probe by probe, and the request counters must stay
-bounded however many distinct paths and verbs clients send.
+bounded however many distinct paths and verbs clients send.  Every route
+lives under ``/v1``; the former unprefixed v0 paths are plain 404s on
+both.
 """
 
 import http.client
@@ -23,30 +25,37 @@ from .test_router_unit import FakeSupervisor
 
 TRACE_ID = "0" * 32
 
-#: (method, path, body, expected status)
+#: (method, path, body, expected status, expected ``Allow``)
 PROBES = [
-    ("GET", "/v1/no/such/route", None, 404),
-    ("GET", "/no/such/route", None, 404),
-    ("GET", "/v1/scan", None, 405),
-    ("POST", "/v1/healthz", None, 405),
-    ("PUT", "/v1/debug/traces", None, 405),
-    ("GET", "/scan", None, 405),
-    ("POST", "/admin/reload", '{"model_dir": "/nope"}', 404),
-    ("GET", f"/v1/debug/traces/{TRACE_ID}", None, 404),
-    ("GET", "/v1/debug/prof?seconds=abc", None, 400),
-    ("POST", "/v1/scan", "{not json", 400),
-    ("GET", "/v1/debug/prof?seconds=0.05&threads=no-such-thread", None, 200),
+    ("GET", "/v1/no/such/route", None, 404, None),
+    ("GET", "/no/such/route", None, 404, None),
+    ("GET", "/v1/scan", None, 405, "POST"),
+    ("POST", "/v1/healthz", None, 405, "GET"),
+    ("PUT", "/v1/debug/traces", None, 405, "GET"),
+    ("GET", "/scan", None, 404, None),
+    ("POST", "/scan", '{"source": "var a = 1;"}', 404, None),
+    ("GET", "/healthz", None, 404, None),
+    ("GET", "/metrics", None, 404, None),
+    ("GET", f"/debug/traces/{TRACE_ID}", None, 404, None),
+    ("POST", "/admin/reload", '{"model_dir": "/nope"}', 404, None),
+    ("GET", f"/v1/debug/traces/{TRACE_ID}", None, 404, None),
+    ("GET", "/v1/debug/prof?seconds=abc", None, 400, None),
+    ("POST", "/v1/scan", "{not json", 400, None),
+    ("GET", "/v1/debug/prof?seconds=0.05&threads=no-such-thread", None, 200, None),
 ]
 
 
 class BackgroundRouter(BackgroundService):
-    """A router whose shards are dead ports: nothing here may forward."""
+    """A router over ``ports``; by default dead ports, so nothing may forward."""
 
     what = "router"
 
+    def __init__(self, config, ports=None):
+        super().__init__(config)
+        self.ports = ports or [free_port(), free_port()]
+
     def _build(self) -> ScanRouter:
-        supervisor = FakeSupervisor([free_port(), free_port()])
-        return ScanRouter(supervisor, self.config)
+        return ScanRouter(FakeSupervisor(self.ports), self.config)
 
 
 @pytest.fixture(scope="module")
@@ -93,14 +102,12 @@ def shape(status, headers, body):
 
 
 def test_daemon_and_router_answer_alike(daemon, router):
-    for method, path, body, expected in PROBES:
+    for method, path, body, expected, allow in PROBES:
         on_daemon = call(daemon, method, path, body)
         on_router = call(router, method, path, body)
         assert on_daemon[0] == expected, (method, path, on_daemon)
         assert shape(*on_daemon) == shape(*on_router), (method, path, on_daemon, on_router)
-        if expected == 405:
-            assert on_router[1]["allow"] == "GET, POST"
-            assert (path == "/scan") == ("deprecation" in on_router[1])
+        assert shape(*on_router)[2:] == (allow, False), (method, path, on_router)
     for background in (daemon, router):
         status, _headers, body = call(
             background, "GET", "/v1/debug/prof?seconds=0.05&threads=no-such-thread"
@@ -121,6 +128,26 @@ def test_batch_body_errors_name_the_callers_index(daemon, router):
         assert json.loads(data)["error"]["message"] == "scripts[7].name must be a string"
 
 
+def test_router_names_unnamed_batch_entries_like_one_daemon(detector, daemon):
+    """The router forwards the names it parsed, so an unnamed entry is
+    ``<batch:i>`` by its index in the caller's array, not in a sub-batch."""
+    body = json.dumps({"scripts": [f"var s{i} = {i};" for i in range(8)]})
+    expected = [f"<batch:{i}>" for i in range(8)]
+    _status, _headers, alone = call(daemon, "POST", "/v1/scan/batch", body)
+    assert [r["path"] for r in json.loads(alone)["data"]["results"]] == expected
+    config = ServeConfig(port=0, max_batch=4, queue_limit=32)
+    with BackgroundServer(detector, config) as second:
+        router_config = RouterConfig(port=0, request_timeout_s=30.0, scrape_interval_s=0)
+        with BackgroundRouter(router_config, ports=[daemon.port, second.port]) as router:
+            first_batches = len(daemon.server.batcher.batch_sizes)
+            status, _headers, routed = call(router, "POST", "/v1/scan/batch", body)
+        assert status == 200, routed
+        # Both daemons took part, so each saw a sub-batch of its own.
+        assert len(daemon.server.batcher.batch_sizes) > first_batches
+        assert second.server.batcher.batch_sizes
+    assert [r["path"] for r in json.loads(routed)["data"]["results"]] == expected
+
+
 def series(background, family):
     _status, _headers, body = call(background, "GET", "/v1/metrics")
     return {
@@ -134,7 +161,6 @@ def series(background, family):
 def test_request_metric_labels_stay_bounded(service, request):
     background = request.getfixturevalue(service)
     requests_before = series(background, "repro_http_requests_total")
-    deprecated_before = series(background, "repro_http_deprecated_requests_total")
     for i in range(50):
         call(background, "GET", f"/v1/nope/{i}" if i % 2 else f"/nope/{i}")
         call(background, "GET", f"/v1/debug/traces/{i:032x}")
@@ -142,11 +168,10 @@ def test_request_metric_labels_stay_bounded(service, request):
     for method in ("BREW", "FROB", "PATCH", "PURGE", "WHATEVER"):
         assert call(background, method, "/v1/healthz")[0] == 405
     requests_new = series(background, "repro_http_requests_total") - requests_before
-    deprecated_new = series(background, "repro_http_deprecated_requests_total") - deprecated_before
     assert len(requests_new) <= 6, sorted(requests_new)
-    assert len(deprecated_new) <= 2, sorted(deprecated_new)
-    rendered = "\n".join(sorted(requests_new | deprecated_new))
-    assert 'path="<unmatched>"' in rendered
+    assert not series(background, "repro_http_deprecated_requests_total")
+    rendered = "\n".join(sorted(requests_new))
+    assert 'path="<unmatched>"' in rendered  # /nope/* and the unprefixed lookups
     assert 'path="/v1/debug/traces/<id>"' in rendered
-    assert 'path="/debug/traces/<id>"' in rendered
+    assert 'path="/debug/traces/<id>"' not in rendered
     assert 'method="<other>"' in rendered

@@ -4,7 +4,7 @@ The acceptance contract: a request carrying an inbound W3C ``traceparent``
 with the sampled bit set is always recorded (regardless of the daemon's
 sample rate), answers with that trace id in the body and ``X-Trace-Id``
 header, and the stored trace — retrievable via ``GET
-/debug/traces/<trace_id>`` — contains a span for every pipeline stage the
+/v1/debug/traces/<trace_id>`` — contains a span for every pipeline stage the
 request actually executed, grafted under the request's root span.
 """
 
@@ -55,7 +55,9 @@ def http_json(background, method, path, payload=None, headers=None):
     data = response.read()
     status, header_map = response.status, dict(response.getheaders())
     connection.close()
-    return status, header_map, json.loads(data) if data else None
+    # A 200's ``data``; an error's whole envelope (its ``error`` object).
+    envelope = json.loads(data) if data else None
+    return status, header_map, envelope.get("data", envelope) if envelope else None
 
 
 def flatten(nodes):
@@ -71,7 +73,7 @@ def traceparent(n: int) -> str:
 class TestPropagation:
     def test_inbound_traceparent_echoed_end_to_end(self, server, split):
         status, headers, body = http_json(
-            server, "POST", "/scan",
+            server, "POST", "/v1/scan",
             {"source": split.test.sources[0], "name": "traced"},
             {"traceparent": TRACEPARENT},
         )
@@ -87,12 +89,12 @@ class TestPropagation:
     def test_stored_trace_has_every_pipeline_stage(self, server, split):
         tp = traceparent(0xBEEF)
         status, _, _ = http_json(
-            server, "POST", "/scan",
+            server, "POST", "/v1/scan",
             {"source": split.test.sources[1] + "\n// stage probe", "name": "stages"},
             {"traceparent": tp},
         )
         assert status == 200
-        status, _, stored = http_json(server, "GET", f"/debug/traces/{0xBEEF:032x}")
+        status, _, stored = http_json(server, "GET", f"/v1/debug/traces/{0xBEEF:032x}")
         assert status == 200
         names = {span["name"] for span in stored["spans"]}
         for stage in ("http.scan", "queue.wait", "batch.execute", "scan.batch", "script",
@@ -107,7 +109,7 @@ class TestPropagation:
 
     def test_untraced_request_still_returns_trace_id_but_stores_nothing(self, server, split):
         status, headers, body = http_json(
-            server, "POST", "/scan", {"source": split.test.sources[2], "name": "plain"}
+            server, "POST", "/v1/scan", {"source": split.test.sources[2], "name": "plain"}
         )
         assert status == 200
         trace_id = body["trace_id"]
@@ -115,22 +117,22 @@ class TestPropagation:
         assert headers["X-Trace-Id"] == trace_id
         assert headers["traceparent"].endswith("-00")  # unsampled
         assert "trace" not in body  # untraced body is byte-identical
-        status, _, _ = http_json(server, "GET", f"/debug/traces/{trace_id}")
+        status, _, _ = http_json(server, "GET", f"/v1/debug/traces/{trace_id}")
         assert status == 404
 
     def test_unsampled_inbound_traceparent_respected(self, server, split):
         tp = f"00-{0xDEAD:032x}-{PARENT_SPAN}-00"
         status, _, body = http_json(
-            server, "POST", "/scan", {"source": split.test.sources[3]}, {"traceparent": tp}
+            server, "POST", "/v1/scan", {"source": split.test.sources[3]}, {"traceparent": tp}
         )
         assert status == 200
         assert body["trace_id"] == f"{0xDEAD:032x}"  # id propagates …
-        status, _, _ = http_json(server, "GET", f"/debug/traces/{0xDEAD:032x}")
+        status, _, _ = http_json(server, "GET", f"/v1/debug/traces/{0xDEAD:032x}")
         assert status == 404  # … but the trace is not recorded
 
     def test_malformed_traceparent_gets_fresh_trace(self, server, split):
         status, _, body = http_json(
-            server, "POST", "/scan", {"source": split.test.sources[4]},
+            server, "POST", "/v1/scan", {"source": split.test.sources[4]},
             {"traceparent": "garbage-header"},
         )
         assert status == 200
@@ -140,13 +142,13 @@ class TestPropagation:
     def test_batch_endpoint_traced(self, server, split):
         tp = traceparent(0xFACE)
         status, _, body = http_json(
-            server, "POST", "/scan/batch",
+            server, "POST", "/v1/scan/batch",
             {"scripts": [s + "\n// batch probe" for s in split.test.sources[:3]]},
             {"traceparent": tp},
         )
         assert status == 200
         assert body["trace_id"] == f"{0xFACE:032x}"
-        status, _, stored = http_json(server, "GET", f"/debug/traces/{0xFACE:032x}")
+        status, _, stored = http_json(server, "GET", f"/v1/debug/traces/{0xFACE:032x}")
         assert status == 200
         names = {span["name"] for span in stored["spans"]}
         assert {"http.scan_batch", "batch.execute", "scan.batch", "script"} <= names
@@ -156,13 +158,13 @@ class TestPropagation:
     def test_analyze_endpoint_traced(self, server):
         tp = traceparent(0xCAFE)
         status, headers, body = http_json(
-            server, "POST", "/analyze", {"source": "eval('x');", "name": "a"},
+            server, "POST", "/v1/analyze", {"source": "eval('x');", "name": "a"},
             {"traceparent": tp},
         )
         assert status == 200
         assert body["trace_id"] == f"{0xCAFE:032x}"
         assert headers["X-Trace-Id"] == f"{0xCAFE:032x}"
-        status, _, stored = http_json(server, "GET", f"/debug/traces/{0xCAFE:032x}")
+        status, _, stored = http_json(server, "GET", f"/v1/debug/traces/{0xCAFE:032x}")
         assert status == 200
         assert {span["name"] for span in stored["spans"]} >= {"http.analyze", "analysis"}
 
@@ -170,9 +172,9 @@ class TestPropagation:
 class TestDebugEndpoints:
     def test_list_returns_summaries_newest_first(self, server, split):
         tp = traceparent(0xF00D)
-        http_json(server, "POST", "/scan", {"source": split.test.sources[5]},
+        http_json(server, "POST", "/v1/scan", {"source": split.test.sources[5]},
                   {"traceparent": tp})
-        status, _, listing = http_json(server, "GET", "/debug/traces?n=5")
+        status, _, listing = http_json(server, "GET", "/v1/debug/traces?n=5")
         assert status == 200
         assert listing["traces"], listing
         assert listing["traces"][0]["trace_id"] == f"{0xF00D:032x}"
@@ -182,16 +184,16 @@ class TestDebugEndpoints:
         assert listing["sample_rate"] == 0.0
 
     def test_unknown_trace_is_404(self, server):
-        status, _, body = http_json(server, "GET", f"/debug/traces/{'0' * 32}")
+        status, _, body = http_json(server, "GET", f"/v1/debug/traces/{'0' * 32}")
         assert status == 404
         assert "error" in body
 
     def test_traces_reject_wrong_method(self, server):
-        status, _, _ = http_json(server, "POST", "/debug/traces")
+        status, _, _ = http_json(server, "POST", "/v1/debug/traces")
         assert status == 405
 
     def test_healthz_reports_trace_count(self, server):
-        status, _, body = http_json(server, "GET", "/healthz")
+        status, _, body = http_json(server, "GET", "/v1/healthz")
         assert status == 200
         assert body["traces_stored"] >= 1
 
@@ -209,7 +211,7 @@ class TestLoadGenerator:
         traced = [r for r in report.results if r.traced]
         assert all(r.trace_id and len(r.trace_id) == 32 for r in traced)
         # Injected traces are recorded server-side and retrievable.
-        status, _, stored = http_json(server, "GET", f"/debug/traces/{traced[0].trace_id}")
+        status, _, stored = http_json(server, "GET", f"/v1/debug/traces/{traced[0].trace_id}")
         assert status == 200 and stored["n_spans"] > 0
         summary = report.summary()
         assert "p50=" in summary and "p99=" in summary
@@ -231,9 +233,9 @@ class TestVerdictsUnchanged:
     def test_traced_and_untraced_verdicts_identical(self, server, detector, split):
         source = split.test.sources[6]
         expected = detector.scan(source)
-        _, _, plain = http_json(server, "POST", "/scan", {"source": source})
+        _, _, plain = http_json(server, "POST", "/v1/scan", {"source": source})
         _, _, traced = http_json(
-            server, "POST", "/scan", {"source": source}, {"traceparent": traceparent(0xABCD)}
+            server, "POST", "/v1/scan", {"source": source}, {"traceparent": traceparent(0xABCD)}
         )
         for body in (plain, traced):
             assert body["label"] == expected.label
